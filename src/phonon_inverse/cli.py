@@ -628,10 +628,7 @@ def run_diffusion_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         write_macro_trace_csv(macro, path)
         written.append(path)
         settled, drift = settled_kappa(macro, x_probe=d.x_probe, settle_time=d.settle_time)
-        final = solve_forward(
-            material, grid, source, store_trajectory=False, snapshot_times=[d.t_end]
-        )
-        residual = chapman_enskog_residual(to_g(final.snapshots[0], material), material, grid)
+        residual = chapman_enskog_residual(to_g(macro.final_h, material), material, grid)
         kappa_rows.append((eps, dt, settled, drift, abs(settled - bulk) / bulk))
         residual_rows.append((eps, dt, residual))
 

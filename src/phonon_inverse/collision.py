@@ -1,8 +1,8 @@
 """Linear relaxation collision operators and the temperature functional.
 
 Fields are plain arrays whose trailing two axes are (mu, omega); any leading
-axes (x, or t and x, or a batch of sources) pass through untouched, so the
-same functions serve single snapshots and whole trajectories.
+axes (x, or t and x) pass through untouched, so the same functions serve
+single snapshots and whole trajectories.
 
 Two equivalent formulations appear throughout the solvers.  In the scaled
 variables h = g / tau the operator is

@@ -39,7 +39,9 @@ class MacroTrace:
     """Per-(t, x) macroscopic fields extracted from a kinetic run.
 
     ``kappa`` is NaN wherever ``kappa_defined`` is False (temperature too
-    flat for the Fourier ratio to mean anything).
+    flat for the Fourier ratio to mean anything).  ``final_h`` is the
+    h-formulation state at the last time node, shape (n_x, n_mu, n_omega),
+    which the first-order residual reads.
     """
 
     t_nodes: FloatArray
@@ -49,6 +51,7 @@ class MacroTrace:
     dT_dx: FloatArray
     kappa: FloatArray
     kappa_defined: FloatArray
+    final_h: FloatArray
 
 
 def to_g(values_h: FloatArray, material: MaterialModel) -> FloatArray:
@@ -93,13 +96,13 @@ def _macro_moment_weights(
 
 def _assemble_macro_trace(
     t_nodes: FloatArray, x_nodes: FloatArray,
-    temperature: FloatArray, q: FloatArray, dx: float,
+    temperature: FloatArray, q: FloatArray, dx: float, final_h: FloatArray,
 ) -> MacroTrace:
     dT_dx = np.gradient(temperature, dx, axis=1, edge_order=2)
     kappa, defined = _kappa_ratio(q, temperature, dT_dx)
     return MacroTrace(
         t_nodes=t_nodes, x_nodes=x_nodes, q=q, temperature=temperature,
-        dT_dx=dT_dx, kappa=kappa, kappa_defined=defined,
+        dT_dx=dT_dx, kappa=kappa, kappa_defined=defined, final_h=final_h,
     )
 
 
@@ -121,18 +124,21 @@ def compute_macro_trace(
 ) -> MacroTrace:
     """Run the forward solver in streaming-moment mode and extract the trace.
 
-    Only (n_t, n_x, 2) moment storage is needed, so this handles long small-
-    epsilon runs whose full trajectories would not fit comfortably in memory.
+    Only (n_t, n_x, 2) moment storage and one final state are kept, so this
+    handles long small-epsilon runs whose full trajectories would not fit
+    comfortably in memory.
     """
     eps = grid.epsilon if epsilon is None else float(epsilon)
     weights = _macro_moment_weights(material, grid, eps)
     traj = solve_forward(
-        material, grid, source, epsilon=eps,
-        store_trajectory=False, moment_weights=weights,
+        material, grid, source, epsilon=eps, store_trajectory=False,
+        moment_weights=weights, snapshot_times=[grid.t_nodes[-1]],
     )
     temperature = traj.moments[:, :, 0]
     q = traj.moments[:, :, 1]
-    return _assemble_macro_trace(grid.t_nodes, grid.x_nodes, temperature, q, grid.dx)
+    return _assemble_macro_trace(
+        grid.t_nodes, grid.x_nodes, temperature, q, grid.dx, traj.snapshots[0]
+    )
 
 
 def macro_trace_from_values(
@@ -158,7 +164,7 @@ def macro_trace_from_values(
     weights = _macro_moment_weights(material, grid, eps)
     moments = np.einsum("txmo,kmo->txk", values_h, weights)
     return _assemble_macro_trace(
-        t_nodes, grid.x_nodes, moments[:, :, 0], moments[:, :, 1], grid.dx
+        t_nodes, grid.x_nodes, moments[:, :, 0], moments[:, :, 1], grid.dx, values_h[-1]
     )
 
 

@@ -73,13 +73,8 @@ def _channel_weights(nodes: FloatArray) -> FloatArray:
 class GridConfig:
     """Parameters from which :func:`build_grid` constructs a :class:`PhaseGrid`.
 
-    ``max_speed`` is the largest characteristic speed max |mu * v(omega)| of
-    the material the grid will be used with; when provided, the constructor
-    enforces the advective CFL condition dt <= epsilon * dx / max_speed.
-    ``min_relaxation_time`` likewise enables the explicit-relaxation guard
-    dt <= 0.5 * epsilon**2 * min_relaxation_time.  Both checks are repeated
-    at solve time with the actual material, so omitting them here only delays
-    the failure, it never hides it.
+    Stability bounds depend on the material as well as the grid, so they are
+    checked by the transport solvers, not here.
     """
 
     dt: float
@@ -93,8 +88,6 @@ class GridConfig:
     x_start: float = 0.0
     x_end: float = 1.0
     epsilon: float = 1.0
-    max_speed: float | None = None
-    min_relaxation_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -239,11 +232,11 @@ class PhaseGrid:
 
 
 def build_grid(config: GridConfig) -> PhaseGrid:
-    """Construct the phase-space grid, validating stability constraints.
+    """Construct the phase-space grid, validating its parameters.
 
     Raises ``ValueError`` for nonpositive spacings, an odd number of mu nodes
     (a mu = 0 node would break both upwinding and the specular-reflection
-    pairing), omega_min <= 0, and any violated CFL bound.
+    pairing), omega_min <= 0, an empty horizon or domain, and epsilon <= 0.
     """
     for label, value in (("dt", config.dt), ("dx", config.dx), ("domega", config.domega)):
         if not value > 0.0:
@@ -265,23 +258,6 @@ def build_grid(config: GridConfig) -> PhaseGrid:
         )
     if not config.epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {config.epsilon}")
-
-    if config.max_speed is not None:
-        limit = config.epsilon * config.dx / config.max_speed
-        if config.dt > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"CFL violation: dt = {config.dt} exceeds epsilon * dx / max_speed = "
-                f"{limit:.6g} (max characteristic speed {config.max_speed:.6g}, "
-                f"epsilon {config.epsilon}); reduce dt or refine dx"
-            )
-    if config.min_relaxation_time is not None:
-        guard = 0.5 * config.epsilon**2 * config.min_relaxation_time
-        if config.dt > guard * (1.0 + 1e-12):
-            raise ValueError(
-                f"relaxation-stability violation: dt = {config.dt} exceeds "
-                f"0.5 * epsilon^2 * min relaxation time = {guard:.6g}; the explicit "
-                "collision update would amplify"
-            )
 
     t_nodes = config.t_start + config.dt * np.arange(
         _node_count(config.t_start, config.t_end, config.dt), dtype=float

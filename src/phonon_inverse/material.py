@@ -211,11 +211,6 @@ class MaterialModel:
         for name in ("omega_nodes", "tau", "velocity", "g_star", "h_star"):
             getattr(self, name).setflags(write=False)
 
-    @property
-    def g_star_bounds(self) -> tuple[float, float]:
-        """Observed bounds of g* on the grid (positive by construction)."""
-        return float(self.g_star.min()), float(self.g_star.max())
-
     def with_tau(self, new_tau: FloatArray) -> "MaterialModel":
         """A new material with updated tau; h* is recomputed in __post_init__."""
         new_tau = np.array(new_tau, dtype=float)
@@ -225,10 +220,6 @@ class MaterialModel:
                 f"{self.tau.shape} frequency nodes"
             )
         return replace(self, tau=new_tau)
-
-    def clamp_tau(self, values: FloatArray) -> FloatArray:
-        lo, hi = self.tau_bounds
-        return np.clip(values, lo, hi)
 
     def max_characteristic_speed(self, mu_nodes: FloatArray) -> float:
         return float(np.max(np.abs(mu_nodes)) * np.max(self.velocity))

@@ -157,24 +157,20 @@ def _integrate(
     moment_weights: FloatArray | None = None,
     snapshot_steps: Sequence[int] = (),
 ) -> tuple[FloatArray | None, FloatArray, FloatArray, FloatArray | None, FloatArray | None]:
-    """March the forward-form system from a zero state.
+    """March the forward-form system for one source from a zero state.
 
     ``inflow`` holds the x = 0 boundary values for the mu > 0 rows, shape
-    (..., n_t, n_mu/2, n_omega) with optional leading batch axes; slice n is
-    written after the step that lands on t_nodes[n].  ``moment_weights``
-    (K, n_mu, n_omega) requests streamed per-step reductions; ``snapshot_steps``
-    requests full state copies at those step indices.  Returns (trajectory or
-    None, left trace, right trace, moments or None, snapshots or None), each
-    with the batch axes leading.
+    (n_t, n_mu/2, n_omega); slice n is written after the step that lands on
+    t_nodes[n].  ``moment_weights`` (K, n_mu, n_omega) requests streamed
+    per-step reductions; ``snapshot_steps`` requests full state copies at
+    those step indices.  Returns (trajectory or None, left trace, right
+    trace, moments or None, snapshots or None).
     """
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
-    if inflow.shape[-3:] != (n_t, half, n_omega):
-        raise ValueError(
-            f"inflow must have trailing shape {(n_t, half, n_omega)}, got {inflow.shape}"
-        )
-    batch_shape = inflow.shape[:-3]
-    state_shape = (*batch_shape, n_x, n_mu, n_omega)
+    if inflow.shape != (n_t, half, n_omega):
+        raise ValueError(f"inflow must have shape {(n_t, half, n_omega)}, got {inflow.shape}")
+    state_shape = (n_x, n_mu, n_omega)
 
     dt, dx = grid.dt, grid.dx
     # Advective Courant numbers per (mu, omega); positive-mu block is the
@@ -191,63 +187,57 @@ def _integrate(
     h_star_mean = mean_omega(h_star, grid)
 
     if store_trajectory:
-        trajectory = np.zeros((*batch_shape, n_t, n_x, n_mu, n_omega))
-        time_axis = len(batch_shape)
-        slices = np.moveaxis(trajectory, time_axis, 0)  # view: (n_t, *batch, x, mu, omega)
+        trajectory = np.zeros((n_t, *state_shape))
     else:
         trajectory = None
         scratch = [np.zeros(state_shape), np.empty(state_shape)]
-        left = np.zeros((*batch_shape, n_t, n_mu, n_omega))
-        right = np.zeros((*batch_shape, n_t, n_mu, n_omega))
+        left = np.zeros((n_t, n_mu, n_omega))
+        right = np.zeros((n_t, n_mu, n_omega))
 
     moments = None
     if moment_weights is not None:
-        moments = np.zeros((*batch_shape, n_t, n_x, moment_weights.shape[0]))
+        moments = np.zeros((n_t, n_x, moment_weights.shape[0]))
     snapshot_index = {int(step): j for j, step in enumerate(snapshot_steps)}
     snapshots = (
         np.zeros((len(snapshot_steps), *state_shape)) if snapshot_steps else None
     )
 
-    state = slices[0] if store_trajectory else scratch[0]
+    state = trajectory[0] if store_trajectory else scratch[0]
     for n in range(1, n_t):
-        new = slices[n] if store_trajectory else scratch[n % 2]
+        new = trajectory[n] if store_trajectory else scratch[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
-        density = np.einsum("...mo,mo->...", state, weight) / h_star_mean
-        np.multiply(density[..., None, None], h_star, out=new)
+        density = np.einsum("xmo,mo->x", state, weight) / h_star_mean
+        np.multiply(density[:, None, None], h_star, out=new)
         new -= state
         new *= relax_coef
         new += state
-        new[..., 1:, half:, :] -= courant_pos * (
-            state[..., 1:, half:, :] - state[..., :-1, half:, :]
-        )
-        new[..., :-1, :half, :] -= courant_neg * (
-            state[..., 1:, :half, :] - state[..., :-1, :half, :]
-        )
+        new[1:, half:, :] -= courant_pos * (state[1:, half:, :] - state[:-1, half:, :])
+        new[:-1, :half, :] -= courant_neg * (state[1:, :half, :] - state[:-1, :half, :])
         # Boundary rules, in dependency order: inflow rows at x = 0, specular
         # reflection at x = 1 (pairs mu with -mu via index reversal), then
         # first-order outflow extrapolation at x = 0.
-        new[..., 0, half:, :] = inflow[..., n, :, :]
-        new[..., -1, :half, :] = new[..., -1, half:, :][..., ::-1, :]
-        new[..., 0, :half, :] = new[..., 1, :half, :]
+        new[0, half:, :] = inflow[n]
+        new[-1, :half, :] = new[-1, half:, :][::-1, :]
+        new[0, :half, :] = new[1, :half, :]
         if not np.isfinite(new).all():
             raise RuntimeError(
                 f"{label} solve produced a nonfinite value at step {n} "
                 f"(t = {grid.t_nodes[n]:.6g})"
             )
         if not store_trajectory:
-            left[..., n, :, :] = new[..., 0, :, :]
-            right[..., n, :, :] = new[..., -1, :, :]
+            left[n] = new[0]
+            right[n] = new[-1]
         if moments is not None:
-            moments[..., n, :, :] = np.einsum("...mo,kmo->...k", new, moment_weights)
+            moments[n] = np.einsum("xmo,kmo->xk", new, moment_weights)
         if n in snapshot_index:
             snapshots[snapshot_index[n]] = new
         state = new
 
     if store_trajectory:
-        left = np.moveaxis(slices[:, ..., 0, :, :], 0, len(batch_shape)).copy()
-        right = np.moveaxis(slices[:, ..., -1, :, :], 0, len(batch_shape)).copy()
-    logger.debug("%s solve: %d steps, epsilon=%g, batch=%s", label, n_t - 1, epsilon, batch_shape)
+        left = trajectory[:, 0].copy()
+        right = trajectory[:, -1].copy()
+    logger.debug("%s solve: %d steps, epsilon=%g", label, n_t - 1, epsilon)
     return trajectory, left, right, moments, snapshots
 
 
@@ -306,18 +296,21 @@ def solve_forward_batch(
     sources: Sequence[BoundarySource | SourceFunction],
     epsilon: float | None = None,
 ) -> FloatArray:
-    """Left boundary traces for several pulses in one fused march.
+    """Left boundary traces for several pulses, one march per pulse.
 
-    Returns shape (len(sources), n_t, n_mu, n_omega).  All pulses share the
-    material and grid, so stepping them together amortizes the per-step cost.
+    Returns shape (len(sources), n_t, n_mu, n_omega); row i is bitwise equal
+    to ``solve_forward(..., store_trajectory=False).left_trace`` for
+    ``sources[i]``.  Stability is validated once for the shared material.
     """
     eps = _resolve_epsilon(grid, epsilon)
     _validate_stability(material, grid, eps)
-    inflow = np.stack([_inflow_table(s, material, grid) for s in sources])
-    _, left, _, _, _ = _integrate(
-        material, grid, eps, inflow, store_trajectory=False, label="forward-batch"
-    )
-    return left
+    return np.stack([
+        _integrate(
+            material, grid, eps, _inflow_table(source, material, grid),
+            store_trajectory=False, label="forward-batch",
+        )[1]
+        for source in sources
+    ])
 
 
 def solve_adjoint(

@@ -154,6 +154,7 @@ class TestMacroTrace:
         np.testing.assert_array_equal(
             streamed.kappa_defined, stored.kappa_defined
         )
+        np.testing.assert_array_equal(streamed.final_h, traj.values[-1])
 
     def test_temperature_matches_collision_moment(self, short_run, material):
         g, traj = short_run

@@ -75,22 +75,6 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="omega_min"):
             build_grid(baseline_config(omega_min=0.0))
 
-    def test_cfl_guard_names_speed(self):
-        # baseline grid with max |mu v| = 2.42 passes (CFL ratio ~0.6) ...
-        build_grid(baseline_config(max_speed=2.42))
-        # ... but a doubled time step does not.
-        with pytest.raises(ValueError, match="2.42"):
-            build_grid(baseline_config(dt=0.02, max_speed=2.42))
-
-    def test_cfl_guard_scales_with_epsilon(self):
-        with pytest.raises(ValueError, match="CFL"):
-            build_grid(baseline_config(epsilon=0.1, max_speed=2.42))
-        build_grid(baseline_config(epsilon=0.1, dt=0.0005, max_speed=2.42))
-
-    def test_relaxation_guard(self):
-        with pytest.raises(ValueError, match="relaxation"):
-            build_grid(baseline_config(epsilon=0.05, dt=0.005, min_relaxation_time=1.2))
-
     def test_nodes_are_immutable(self, grid):
         with pytest.raises(ValueError):
             grid.mu_nodes[0] = 0.0

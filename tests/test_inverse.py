@@ -230,9 +230,9 @@ class TestForwardMap:
         )
 
     def test_batch_matches_single(self, material_guess, grid, sweep_pairs):
-        batch = forward_map_batch(material_guess, grid, sweep_pairs[:3])
-        singles = [forward_map(material_guess, grid, p) for p in sweep_pairs[:3]]
-        np.testing.assert_allclose(batch, singles, rtol=1e-13)
+        batch = forward_map_batch(material_guess, grid, sweep_pairs)
+        singles = [forward_map(material_guess, grid, p) for p in sweep_pairs]
+        np.testing.assert_array_equal(batch, singles)
 
 
 class TestGenerateData:

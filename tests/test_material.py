@@ -171,8 +171,7 @@ class TestBuildMaterial:
         material = build_material(
             constant_tau(50.0), default_g_star(), OMEGA_NODES, tau_bounds=(0.1, 100.0)
         )
-        assert material.clamp_tau(np.array([200.0]))[0] == 100.0
-        assert material.clamp_tau(np.array([0.05]))[0] == 0.1
+        assert material.tau_bounds == (0.1, 100.0)
 
     def test_arrays_immutable(self):
         material = build_material(ground_truth_tau(), default_g_star(), OMEGA_NODES)

@@ -223,10 +223,22 @@ class TestSolveForward:
         )
         assert deviation < 0.10
 
-    def test_cfl_violation_refused(self, material):
-        grid = baseline_grid(epsilon=0.1)  # dt=0.005 far above 0.1*0.02/2.42
-        with pytest.raises(ValueError, match="CFL"):
-            solve_forward(material, grid, BEAM)
+    @pytest.mark.parametrize(
+        "refused, accepted, match",
+        [
+            # dt = 0.005 is far above 0.1 * 0.02 / 2.42 but fine at epsilon = 1
+            (dict(epsilon=0.1), dict(), "CFL"),
+            # the message names the max speed max|mu| * 2.42 of the 64-node grid
+            (dict(dt=0.02), dict(), r"max characteristic speed 2\.418"),
+            # the limit scales with epsilon: a tenfold smaller dt passes again
+            (dict(epsilon=0.1), dict(epsilon=0.1, dt=0.0005), "CFL"),
+        ],
+        ids=["epsilon", "names_max_speed", "scales_with_epsilon"],
+    )
+    def test_cfl_violation_refused(self, material, refused, accepted, match):
+        with pytest.raises(ValueError, match=match):
+            solve_forward(material, baseline_grid(t_end=0.05, **refused), BEAM)
+        solve_forward(material, baseline_grid(t_end=0.05, **accepted), BEAM)
 
     def test_relaxation_violation_refused(self):
         grid = build_grid(

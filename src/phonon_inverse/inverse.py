@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from phonon_inverse.collision import apply_collision, mean_mu_omega, mean_omega, temperature_of
+from phonon_inverse.collision import mean_mu_omega, mean_omega, temperature_of
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import (
@@ -37,11 +37,6 @@ from phonon_inverse.transport import (
     solve_forward_batch,
     source_table,
 )
-
-# Time-slice block size for the trajectory reductions in the gradient
-# assembly; bounds the transient memory of the collision-term product.
-_ASSEMBLY_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class SourceTestPair:
@@ -231,24 +226,63 @@ def omega_norm(a: FloatArray, grid: PhaseGrid) -> float:
     return float(np.sqrt(omega_inner(a, a, grid)))
 
 
+class _InteriorSums:
+    """Per-time-node (x, mu) sums of the interior gradient terms.
+
+    The backward adjoint march hands p(t_n) to :meth:`add`, which pairs it
+    with the stored forward state h(t_n); the adjoint field is never stored.
+    Row n of each table is one time node; the terminal row stays zero
+    because p vanishes at the final time.
+    """
+
+    def __init__(self, material: MaterialModel, grid: PhaseGrid, h_values: FloatArray):
+        self.h_values = h_values
+        # Spread over (mu, omega) so the update below runs over whole rows.
+        self.scaled_h_star = np.broadcast_to(
+            material.h_star / mean_omega(material.h_star, grid), (grid.n_mu, grid.n_omega)
+        ).copy()
+        w_mu = grid.mu_weights / grid.mu_weights.sum()
+        w_omega = grid.omega_weights / grid.omega_weights.sum()
+        self.w_x_mu = np.outer(grid.x_weights / grid.x_weights.sum(), w_mu)
+        self.w_mu_omega = np.outer(w_mu, w_omega).ravel()
+        self.product = np.empty(h_values.shape[1:])
+        self.collision = np.zeros((grid.n_t, grid.n_omega))
+        self.equilibrium = np.zeros((grid.n_t, grid.n_omega))
+
+    def add(self, n: int, p: FloatArray) -> None:
+        h = self.h_values[n]
+        n_x, n_omega = h.shape[0], h.shape[-1]
+        # Each (x, mu) sum is one matrix-vector product over an
+        # (x * mu, omega) view of the slice.
+        h_mean = h.reshape(n_x, -1) @ self.w_mu_omega
+        # relax[h] * p, with relax[h] = (mean h / mean_omega h*) h* - h as in
+        # collision.apply_collision, built in place in a reused buffer.
+        product = self.product
+        np.multiply(h_mean[:, None, None], self.scaled_h_star, out=product)
+        product -= h
+        product *= p
+        self.collision[n] = self.w_x_mu.ravel() @ product.reshape(-1, n_omega)
+        self.equilibrium[n] = (self.w_x_mu * h_mean[:, None]).ravel() @ p.reshape(-1, n_omega)
+
+
 def _assemble_gradient(
     material: MaterialModel,
     grid: PhaseGrid,
     phi_pos: FloatArray,
     window_values: FloatArray,
     mismatch: float,
-    h_values: FloatArray,
-    p_values: FloatArray,
+    h_left: FloatArray,
+    p_left: FloatArray,
+    interior: _InteriorSums,
     epsilon: float,
 ) -> FloatArray:
-    """Combine the forward and adjoint trajectories into the nodal gradient.
+    """Combine the boundary traces and the interior sums into the nodal gradient.
 
     Boundary terms (inflow sensitivity): the readout's direct dependence on
     phi/tau, the equilibrium normalization's shift of the temperature trace,
-    and the adjoint-weighted inflow flux.  Interior terms: the collision
-    operator's 1/tau strength and the two-sided shift of the equilibrium
-    direction h* = g*/tau.  Trajectory reductions run in time blocks to keep
-    the transient products small.
+    and the adjoint-weighted inflow flux, from the x = 0 traces ``h_left``
+    and ``p_left``.  Interior terms: the collision operator's 1/tau strength
+    and the two-sided shift of the equilibrium direction h* = g*/tau.
     """
     half = grid.n_mu // 2
     tau = material.tau
@@ -256,39 +290,24 @@ def _assemble_gradient(
     h_star_mean = float(mean_omega(h_star, grid))
 
     w_t = grid.t_weights / grid.t_span
-    w_x = grid.x_weights / grid.x_weights.sum()
-    w_mu = grid.mu_weights / grid.mu_weights.sum()
     w_mu_pos = grid.mu_weights[half:]
     mu_pos = grid.mu_nodes[half:]
 
     # Readout sensitivity through the boundary data and the temperature
     # normalization (no adjoint needed for these two).
     inflow_avg = np.einsum("t,tmo,m->o", w_t * window_values, phi_pos, w_mu_pos)
-    trace_mean = mean_mu_omega(h_values[:, 0], grid) @ (w_t * window_values)
+    trace_mean = mean_mu_omega(h_left, grid) @ (w_t * window_values)
 
     # Adjoint-weighted inflow flux at x = 0 over the rightward directions.
     adjoint_flux = material.velocity * np.einsum(
-        "t,tmo,tmo,m->o", w_t, phi_pos, p_values[:, 0, half:, :], w_mu_pos * mu_pos
+        "t,tmo,tmo,m->o", w_t, phi_pos, p_left[:, half:, :], w_mu_pos * mu_pos
     )
 
-    collision_term = np.zeros(grid.n_omega)
-    equilibrium_term = np.zeros(grid.n_omega)
-    normalization_term = 0.0
-    for start in range(0, grid.n_t, _ASSEMBLY_CHUNK):
-        rows = slice(start, start + _ASSEMBLY_CHUNK)
-        h_block = h_values[rows]
-        p_block = p_values[rows]
-        w_block = w_t[rows]
-        relax = apply_collision(h_block, material, grid)
-        collision_term += np.einsum(
-            "txmo,txmo,t,x,m->o", relax, p_block, w_block, w_x, w_mu
-        )
-        h_mean = np.asarray(mean_mu_omega(h_block, grid))
-        equilibrium_term += np.einsum(
-            "tx,txmo,t,x,m->o", h_mean, p_block, w_block, w_x, w_mu
-        )
-        p_mean = np.asarray(mean_mu_omega(p_block, grid))
-        normalization_term += float(np.einsum("tx,tx,t,x->", h_mean, p_mean, w_block, w_x))
+    collision_term = w_t @ interior.collision
+    equilibrium_term = w_t @ interior.equilibrium
+    # The (mu, omega) mean of p paired with mean h, summed over (t, x), is the
+    # omega mean of the equilibrium term.
+    normalization_term = float(mean_omega(equilibrium_term, grid))
 
     gradient = (
         -(mismatch / (2.0 * tau**2 * h_star_mean)) * inflow_avg
@@ -313,7 +332,9 @@ def loss_and_gradient(
 ) -> tuple[float, float, FloatArray]:
     """One forward and one adjoint solve: (loss, mismatch, gradient).
 
-    The gradient lives on the frequency nodes; pairing it with a nodal
+    The forward trajectory is stored; the adjoint is reduced against it time
+    node by time node as it is marched, so only one trajectory is held.  The
+    gradient lives on the frequency nodes; pairing it with a nodal
     tau-perturbation through :func:`omega_inner` gives the directional
     derivative of the loss.
     """
@@ -326,11 +347,15 @@ def loss_and_gradient(
     measurement = _windowed_trace_average(forward.left_trace, window_values, material, grid)
     mismatch = measurement - datum
 
-    adjoint = solve_adjoint(material, grid, mismatch, window_values, epsilon=eps)
+    interior = _InteriorSums(material, grid, forward.values)
+    adjoint = solve_adjoint(
+        material, grid, mismatch, window_values, epsilon=eps,
+        store_trajectory=False, on_step=interior.add,
+    )
     phi_pos = source_table(pair.source, grid)
     gradient = _assemble_gradient(
         material, grid, phi_pos, window_values, mismatch,
-        forward.values, adjoint.values, eps,
+        forward.left_trace, adjoint.left_trace, interior, eps,
     )
     return 0.5 * mismatch * mismatch, mismatch, gradient
 

@@ -156,6 +156,7 @@ def _integrate(
     label: str,
     moment_weights: FloatArray | None = None,
     snapshot_steps: Sequence[int] = (),
+    on_step: Callable[[int, FloatArray], None] | None = None,
 ) -> tuple[FloatArray | None, FloatArray, FloatArray, FloatArray | None, FloatArray | None]:
     """March the forward-form system for one source from a zero state.
 
@@ -163,8 +164,9 @@ def _integrate(
     (n_t, n_mu/2, n_omega); slice n is written after the step that lands on
     t_nodes[n].  ``moment_weights`` (K, n_mu, n_omega) requests streamed
     per-step reductions; ``snapshot_steps`` requests full state copies at
-    those step indices.  Returns (trajectory or None, left trace, right
-    trace, moments or None, snapshots or None).
+    those step indices; ``on_step(n, state)``, if given, sees each new state,
+    which is only valid during the call.  Returns (trajectory or None, left
+    trace, right trace, moments or None, snapshots or None).
     """
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
@@ -178,13 +180,15 @@ def _integrate(
     courant = (dt / (epsilon * dx)) * grid.mu_nodes[:, None] * material.velocity
     courant_neg = courant[:half]
     courant_pos = courant[half:]
-    relax_coef = dt / (epsilon**2 * material.tau)
+    # Per-omega tables are spread over (mu, omega) so that each elementwise
+    # update runs over whole contiguous (mu, omega) rows.
+    relax_coef = np.broadcast_to(dt / (epsilon**2 * material.tau), (n_mu, n_omega)).copy()
     weight = np.outer(
         grid.mu_weights / grid.mu_weights.sum(),
         grid.omega_weights / grid.omega_weights.sum(),
     )
-    h_star = material.h_star
-    h_star_mean = mean_omega(h_star, grid)
+    h_star = np.broadcast_to(material.h_star, (n_mu, n_omega)).copy()
+    h_star_mean = mean_omega(material.h_star, grid)
 
     if store_trajectory:
         trajectory = np.zeros((n_t, *state_shape))
@@ -203,11 +207,11 @@ def _integrate(
     )
 
     state = trajectory[0] if store_trajectory else scratch[0]
+    density = np.einsum("xmo,mo->x", state, weight) / h_star_mean
     for n in range(1, n_t):
         new = trajectory[n] if store_trajectory else scratch[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
-        density = np.einsum("xmo,mo->x", state, weight) / h_star_mean
         np.multiply(density[:, None, None], h_star, out=new)
         new -= state
         new *= relax_coef
@@ -220,7 +224,10 @@ def _integrate(
         new[0, half:, :] = inflow[n]
         new[-1, :half, :] = new[-1, half:, :][::-1, :]
         new[0, :half, :] = new[1, :half, :]
-        if not np.isfinite(new).all():
+        # The weights are positive, so the density of the new state is
+        # nonfinite whenever any of its cells is.
+        density = np.einsum("xmo,mo->x", new, weight) / h_star_mean
+        if not np.isfinite(density).all():
             raise RuntimeError(
                 f"{label} solve produced a nonfinite value at step {n} "
                 f"(t = {grid.t_nodes[n]:.6g})"
@@ -232,6 +239,8 @@ def _integrate(
             moments[n] = np.einsum("xmo,kmo->xk", new, moment_weights)
         if n in snapshot_index:
             snapshots[snapshot_index[n]] = new
+        if on_step is not None:
+            on_step(n, new)
         state = new
 
     if store_trajectory:
@@ -321,6 +330,7 @@ def solve_adjoint(
     final_time: float | None = None,
     epsilon: float | None = None,
     store_trajectory: bool = True,
+    on_step: Callable[[int, FloatArray], None] | None = None,
 ) -> Trajectory:
     """Integrate the adjoint system backward from a zero terminal state.
 
@@ -338,6 +348,10 @@ def solve_adjoint(
 
     ``test_window`` is a callable on t or an array over the time nodes;
     ``mismatch_value`` is the scalar measurement residual it multiplies.
+    ``on_step(n, p)``, if given, is called with p at t_nodes[n], shape
+    (n_x, n_mu, n_omega), for n from n_t - 2 down to 0 as the backward march
+    produces it; with ``store_trajectory=False`` this reduces the field
+    without keeping it.
     """
     eps = _resolve_epsilon(grid, epsilon)
     _validate_stability(material, grid, eps)
@@ -371,8 +385,13 @@ def solve_adjoint(
         / mu_pos[:, None]
     )
     inflow = window[::-1, None, None] * profile
+    last = grid.n_t - 1
+    reversed_step = None if on_step is None else (
+        lambda s, state: on_step(last - s, state[:, ::-1, :].copy())
+    )
     values, left, right, _, _ = _integrate(
-        material, grid, eps, inflow, store_trajectory, label="adjoint"
+        material, grid, eps, inflow, store_trajectory, label="adjoint",
+        on_step=reversed_step,
     )
     if values is not None:
         values = values[::-1, :, ::-1, :].copy()

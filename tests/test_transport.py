@@ -320,6 +320,21 @@ class TestSolveAdjoint:
             scaled.values, -3.5 * base.values, rtol=0, atol=1e-12 * np.abs(scaled.values).max()
         )
 
+    def test_on_step_sees_each_stored_slice(self, grid, material):
+        # The streamed slices are the stored trajectory's, bit for bit, in
+        # backward time order; the traces match with nothing stored.
+        stored = solve_adjoint(material, grid, 1.5, self.window())
+        seen = []
+        streamed = solve_adjoint(
+            material, grid, 1.5, self.window(), store_trajectory=False,
+            on_step=lambda n, p: seen.append((n, p.copy())),
+        )
+        assert [n for n, _ in seen] == list(range(grid.n_t - 2, -1, -1))
+        for n, p in seen:
+            np.testing.assert_array_equal(p, stored.values[n])
+        assert streamed.values is None
+        np.testing.assert_array_equal(streamed.left_trace, stored.left_trace)
+
     def test_final_time_must_match_grid(self, grid, material):
         with pytest.raises(ValueError, match="final_time"):
             solve_adjoint(material, grid, 1.0, self.window(), final_time=1.3)

@@ -258,7 +258,7 @@ class _InteriorSums:
         # relax[h] * p, with relax[h] = (mean h / mean_omega h*) h* - h as in
         # collision.apply_collision, built in place in a reused buffer.
         product = self.product
-        np.multiply(h_mean[:, None, None], self.scaled_h_star, out=product)
+        np.einsum("x,mo->xmo", h_mean, self.scaled_h_star, out=product)
         product -= h
         product *= p
         self.collision[n] = self.w_x_mu.ravel() @ product.reshape(-1, n_omega)

@@ -178,8 +178,6 @@ def _integrate(
     # Advective Courant numbers per (mu, omega); positive-mu block is the
     # upper half of the ascending node ordering.
     courant = (dt / (epsilon * dx)) * grid.mu_nodes[:, None] * material.velocity
-    courant_neg = courant[:half]
-    courant_pos = courant[half:]
     # Per-omega tables are spread over (mu, omega) so that each elementwise
     # update runs over whole contiguous (mu, omega) rows.
     relax_coef = np.broadcast_to(dt / (epsilon**2 * material.tau), (n_mu, n_omega)).copy()
@@ -190,6 +188,7 @@ def _integrate(
     h_star = np.broadcast_to(material.h_star, (n_mu, n_omega)).copy()
     h_star_mean = mean_omega(material.h_star, grid)
 
+    upwind = np.empty((n_x - 1, n_mu, n_omega))
     if store_trajectory:
         trajectory = np.zeros((n_t, *state_shape))
     else:
@@ -212,12 +211,17 @@ def _integrate(
         new = trajectory[n] if store_trajectory else scratch[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
-        np.multiply(density[:, None, None], h_star, out=new)
+        np.einsum("x,mo->xmo", density, h_star, out=new)
         new -= state
         new *= relax_coef
         new += state
-        new[1:, half:, :] -= courant_pos * (state[1:, half:, :] - state[:-1, half:, :])
-        new[:-1, :half, :] -= courant_neg * (state[1:, :half, :] - state[:-1, :half, :])
+        # One Courant-weighted difference between neighbouring x nodes serves
+        # both directions: mu > 0 rows take it from the left, mu < 0 rows
+        # from the right.
+        np.subtract(state[1:], state[:-1], out=upwind)
+        upwind *= courant
+        new[1:, half:, :] -= upwind[:, half:, :]
+        new[:-1, :half, :] -= upwind[:, :half, :]
         # Boundary rules, in dependency order: inflow rows at x = 0, specular
         # reflection at x = 1 (pairs mu with -mu via index reversal), then
         # first-order outflow extrapolation at x = 0.

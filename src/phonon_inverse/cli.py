@@ -547,12 +547,11 @@ def run_forward_demo(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         store_trajectory=False, snapshot_times=config.forward.snapshot_times,
     )
     written = []
-    mu_mean = grid.mu_weights / grid.mu_weights.sum()
     snapshot_times = trajectory.snapshot_times or ()
     snapshots = trajectory.snapshots if trajectory.snapshots is not None else []
     header = ["x"] + [f"omega={w:g}" for w in grid.omega_nodes]
     for t_snap, snap in zip(snapshot_times, snapshots):
-        mean_field = np.einsum("xmo,m->xo", snap, mu_mean)
+        mean_field = np.einsum("xmo,m->xo", snap, grid.mu_mean)
         rows = ([x, *mean_field[i]] for i, x in enumerate(grid.x_nodes))
         written.append(_write_csv(out_dir / f"snapshot_t{t_snap:g}.csv", header, rows))
 

@@ -30,9 +30,7 @@ from phonon_inverse.material import MaterialModel
 
 def mean_mu_omega(field: FloatArray, grid: PhaseGrid) -> FloatArray | float:
     """Normalized mean over the trailing (mu, omega) axes."""
-    w_mu = grid.mu_weights / grid.mu_weights.sum()
-    w_omega = grid.omega_weights / grid.omega_weights.sum()
-    result = np.einsum("...mo,m,o->...", field, w_mu, w_omega)
+    result = field.reshape(*field.shape[:-2], -1) @ grid.mu_omega_mean.ravel()
     if result.ndim == 0:
         return float(result)
     return result
@@ -40,8 +38,7 @@ def mean_mu_omega(field: FloatArray, grid: PhaseGrid) -> FloatArray | float:
 
 def mean_omega(values: FloatArray, grid: PhaseGrid) -> FloatArray | float:
     """Normalized mean over the trailing omega axis."""
-    w_omega = grid.omega_weights / grid.omega_weights.sum()
-    result = values @ w_omega
+    result = values @ grid.omega_mean
     if np.ndim(result) == 0:
         return float(result)
     return result

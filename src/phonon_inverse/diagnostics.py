@@ -69,13 +69,7 @@ def heat_flux(
     axes (t and/or x) pass through.
     """
     eps = grid.epsilon if epsilon is None else float(epsilon)
-    weight = (
-        np.outer(grid.mu_weights / grid.mu_weights.sum(),
-                 grid.omega_weights / grid.omega_weights.sum())
-        * grid.mu_nodes[:, None]
-        * material.velocity
-        / eps
-    )
+    weight = grid.mu_omega_mean * grid.mu_nodes[:, None] * material.velocity / eps
     result = np.einsum("...mo,mo->...", values_g, weight)
     if result.ndim == 0:
         return float(result)
@@ -86,11 +80,11 @@ def _macro_moment_weights(
     material: MaterialModel, grid: PhaseGrid, epsilon: float
 ) -> FloatArray:
     """Weight tables turning streamed h-moments into (temperature, flux)."""
-    quad = np.outer(grid.mu_weights / grid.mu_weights.sum(),
-                    grid.omega_weights / grid.omega_weights.sum())
-    h_star_mean = float((grid.omega_weights / grid.omega_weights.sum()) @ material.h_star)
-    temperature_w = quad / h_star_mean
-    flux_w = quad * grid.mu_nodes[:, None] * (material.velocity * material.tau) / epsilon
+    h_star_mean = float(grid.omega_mean @ material.h_star)
+    temperature_w = grid.mu_omega_mean / h_star_mean
+    flux_w = (
+        grid.mu_omega_mean * grid.mu_nodes[:, None] * (material.velocity * material.tau) / epsilon
+    )
     return np.stack([temperature_w, flux_w])
 
 
@@ -205,8 +199,7 @@ def settled_kappa(
 
 def bulk_kappa(material: MaterialModel, grid: PhaseGrid) -> float:
     """Bulk conductivity: one third of the normalized mean of tau v^2 g*."""
-    w = grid.omega_weights / grid.omega_weights.sum()
-    return float(w @ (material.tau * material.velocity**2 * material.g_star)) / 3.0
+    return float(grid.omega_mean @ (material.tau * material.velocity**2 * material.g_star)) / 3.0
 
 
 def accumulation_kappa(
@@ -230,13 +223,12 @@ def accumulation_kappa(
     if omega_hi - omega_lo <= 1e-15:
         return 0.0
     integrand = material.tau * material.velocity**2 * material.g_star / 3.0
-    weights = grid.omega_weights / grid.omega_weights.sum()
     if omega_hi >= omega[-1] - 1e-12:
         upper = omega <= omega_hi + 1e-12
     else:
         upper = omega < omega_hi - 1e-12
     inside = (omega >= omega_lo - 1e-12) & upper
-    return float(np.sum(weights[inside] * integrand[inside]))
+    return float(np.sum(grid.omega_mean[inside] * integrand[inside]))
 
 
 def solve_heat_reference(
@@ -325,15 +317,9 @@ def chapman_enskog_residual(
             f"expected a single-time slice of shape "
             f"{(grid.n_x, grid.n_mu, grid.n_omega)}, got {slice_g.shape}"
         )
-    w_omega = grid.omega_weights / grid.omega_weights.sum()
-    h_star_mean = float(w_omega @ material.h_star)
+    h_star_mean = float(grid.omega_mean @ material.h_star)
     u = (
-        np.einsum(
-            "xmo,m,o->x",
-            slice_g / material.tau,
-            grid.mu_weights / grid.mu_weights.sum(),
-            w_omega,
-        )
+        np.einsum("xmo,m,o->x", slice_g / material.tau, grid.mu_mean, grid.omega_mean)
         / h_star_mean
     )
     du_dx = np.gradient(u, grid.dx, edge_order=2)
@@ -347,11 +333,7 @@ def chapman_enskog_residual(
 
     def weighted_norm(field: FloatArray) -> float:
         quad = np.einsum(
-            "xmo,x,m,o->",
-            field**2,
-            grid.x_weights / grid.x_weights.sum(),
-            grid.mu_weights / grid.mu_weights.sum(),
-            w_omega,
+            "xmo,x,m,o->", field**2, grid.x_mean, grid.mu_mean, grid.omega_mean
         )
         return math.sqrt(quad)
 

@@ -1,12 +1,14 @@
-"""Phase-space discretization and the normalized bracket averages.
+"""Phase-space discretization and the normalized bracket weights.
 
 The computational phase space is (t, x, mu, omega): time, position in [0, 1],
 direction cosine in (-1, 1), and phonon frequency on a truncated band
 [omega_min, omega_max].  All averaging conventions used by the solvers and
 diagnostics live here: Gauss-Legendre quadrature in mu, trapezoid rule in
-t and x, uniform per-channel weights in omega, every bracket normalized by
-the measure of the integrated domain so that the average of a constant is
-that constant.
+t and x, uniform per-channel weights in omega.  :class:`PhaseGrid` carries
+each axis's weights normalized by their sum (``t_mean``, ``x_mean``,
+``mu_mean``, ``omega_mean``, and the (mu, omega) table ``mu_omega_mean``),
+so that a mean is one product with them and the mean of a constant is that
+constant.
 
 The omega axis is a set of discrete frequency channels rather than samples
 of a smooth integrand, so each node carries one full cell weight domega.
@@ -20,16 +22,13 @@ edge.  Equal weights keep all channels on the same footing.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 FloatArray = np.ndarray
-
-AXIS_NAMES = ("t", "x", "mu", "omega")
 
 # Tolerance for "does the step divide the span" when counting nodes; guards
 # against float dust such as 3.6 / 0.4 = 8.999999999999998.
@@ -97,9 +96,13 @@ class PhaseGrid:
     ``mu_weights`` sum to 2 (the full measure of (-1, 1)); ``t_weights`` and
     ``x_weights`` are raw trapezoid weights summing to the spans of their
     axes; ``omega_weights`` are equal per-channel weights of one cell domega
-    each (summing to n_omega * domega).  :meth:`average` divides by those
-    sums, so the stored weights stay usable for unnormalized integrals (the
-    Frechet pairing in omega needs them raw).
+    each (summing to n_omega * domega).  They stay raw for unnormalized
+    integrals (the Frechet pairing in omega needs them so).
+
+    ``t_mean``, ``x_mean``, ``mu_mean`` and ``omega_mean`` are those weights
+    divided by their sums, and ``mu_omega_mean`` is the outer product of the
+    mu and omega means; every normalized mean in the package reads them.
+    All arrays are read-only.
     """
 
     t_nodes: FloatArray
@@ -111,10 +114,20 @@ class PhaseGrid:
     x_weights: FloatArray
     omega_weights: FloatArray
     epsilon: float
+    t_mean: FloatArray = field(init=False)
+    x_mean: FloatArray = field(init=False)
+    mu_mean: FloatArray = field(init=False)
+    omega_mean: FloatArray = field(init=False)
+    mu_omega_mean: FloatArray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("t_nodes", "x_nodes", "mu_nodes", "mu_weights",
-                     "omega_nodes", "t_weights", "x_weights", "omega_weights"):
+        for axis in ("t", "x", "mu", "omega"):
+            weights = getattr(self, f"{axis}_weights")
+            object.__setattr__(self, f"{axis}_mean", weights / weights.sum())
+        object.__setattr__(self, "mu_omega_mean", np.outer(self.mu_mean, self.omega_mean))
+        for name in ("t_nodes", "x_nodes", "mu_nodes", "mu_weights", "omega_nodes",
+                     "t_weights", "x_weights", "omega_weights", "t_mean", "x_mean",
+                     "mu_mean", "omega_mean", "mu_omega_mean"):
             getattr(self, name).setflags(write=False)
 
     # -- sizes and spacings ------------------------------------------------
@@ -147,88 +160,6 @@ class PhaseGrid:
         if self.n_omega == 1:
             return 0.0
         return float(self.omega_nodes[1] - self.omega_nodes[0])
-
-    @property
-    def t_span(self) -> float:
-        return float(self.t_nodes[-1] - self.t_nodes[0])
-
-    @property
-    def omega_span(self) -> float:
-        return float(self.omega_nodes[-1] - self.omega_nodes[0])
-
-    @property
-    def positive_mu(self) -> FloatArray:
-        """Boolean mask of the mu nodes with mu > 0."""
-        return self.mu_nodes > 0.0
-
-    # -- bracket averages ----------------------------------------------------
-    def _axis_weights(self, name: str, mu_range: str) -> tuple[FloatArray, FloatArray | None]:
-        """Normalized weights for one axis, plus an optional node mask."""
-        if name == "t":
-            weights = self.t_weights
-        elif name == "x":
-            weights = self.x_weights
-        elif name == "mu":
-            if mu_range == "full":
-                weights = self.mu_weights
-            elif mu_range in ("positive", "negative"):
-                mask = self.positive_mu if mu_range == "positive" else ~self.positive_mu
-                sub = self.mu_weights[mask]
-                return sub / sub.sum(), mask
-            else:
-                raise ValueError(
-                    f"unknown mu_range {mu_range!r}; expected 'full', 'positive' or 'negative'"
-                )
-        elif name == "omega":
-            weights = self.omega_weights
-        else:
-            raise ValueError(f"unknown axis {name!r}; expected one of {AXIS_NAMES}")
-        return weights / weights.sum(), None
-
-    def average(
-        self,
-        values: FloatArray,
-        axes: Sequence[str],
-        over: str | Iterable[str],
-        mu_range: str = "full",
-    ) -> FloatArray | float:
-        """Normalized mean of ``values`` over a subset of its axes.
-
-        ``axes`` names the dimensions of ``values`` in order, drawn from
-        ``("t", "x", "mu", "omega")`` (a leading batch dimension may be named
-        anything else and is never averaged).  ``over`` selects which of those
-        to integrate out; each integral is divided by the measure of its
-        domain, so the average of a constant field is that constant over any
-        variable set.  ``mu_range`` restricts the mu integral to one
-        half-range, normalized by the half measure (it requires "mu" in
-        ``over``).
-
-        Returns a scalar when every axis is averaged out.
-        """
-        axes = tuple(axes)
-        if len(axes) != values.ndim:
-            raise ValueError(
-                f"axes {axes} name {len(axes)} dimensions but values has shape {values.shape}"
-            )
-        over_names = (over,) if isinstance(over, str) else tuple(over)
-        for name in over_names:
-            if name not in axes:
-                raise ValueError(f"cannot average over {name!r}: not among axes {axes}")
-        if mu_range != "full" and "mu" not in over_names:
-            raise ValueError("mu_range restriction requires averaging over 'mu'")
-
-        result = values
-        live_axes = list(axes)
-        for name in over_names:
-            dim = live_axes.index(name)
-            weights, mask = self._axis_weights(name, mu_range if name == "mu" else "full")
-            if mask is not None:
-                result = np.compress(mask, result, axis=dim)
-            result = np.moveaxis(result, dim, -1) @ weights
-            live_axes.pop(dim)
-        if result.ndim == 0:
-            return float(result)
-        return result
 
 
 def build_grid(config: GridConfig) -> PhaseGrid:

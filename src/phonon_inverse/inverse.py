@@ -140,8 +140,7 @@ def _windowed_trace_average(
     the losses that recompute them agree bit for bit.
     """
     boundary_temperature = temperature_of(left_trace, material, grid)
-    w_t = grid.t_weights / grid.t_span
-    return float((boundary_temperature * window_values) @ w_t)
+    return float((boundary_temperature * window_values) @ grid.t_mean)
 
 
 def forward_map(
@@ -236,31 +235,29 @@ class _InteriorSums:
     """
 
     def __init__(self, material: MaterialModel, grid: PhaseGrid, h_values: FloatArray):
+        self.grid = grid
         self.h_values = h_values
         # Spread over (mu, omega) so the update below runs over whole rows.
         self.scaled_h_star = np.broadcast_to(
             material.h_star / mean_omega(material.h_star, grid), (grid.n_mu, grid.n_omega)
         ).copy()
-        w_mu = grid.mu_weights / grid.mu_weights.sum()
-        w_omega = grid.omega_weights / grid.omega_weights.sum()
-        self.w_x_mu = np.outer(grid.x_weights / grid.x_weights.sum(), w_mu)
-        self.w_mu_omega = np.outer(w_mu, w_omega).ravel()
+        self.w_x_mu = np.outer(grid.x_mean, grid.mu_mean)
         self.product = np.empty(h_values.shape[1:])
         self.collision = np.zeros((grid.n_t, grid.n_omega))
         self.equilibrium = np.zeros((grid.n_t, grid.n_omega))
 
     def add(self, n: int, p: FloatArray) -> None:
         h = self.h_values[n]
-        n_x, n_omega = h.shape[0], h.shape[-1]
-        # Each (x, mu) sum is one matrix-vector product over an
-        # (x * mu, omega) view of the slice.
-        h_mean = h.reshape(n_x, -1) @ self.w_mu_omega
+        n_omega = h.shape[-1]
+        h_mean = mean_mu_omega(h, self.grid)
         # relax[h] * p, with relax[h] = (mean h / mean_omega h*) h* - h as in
         # collision.apply_collision, built in place in a reused buffer.
         product = self.product
         np.einsum("x,mo->xmo", h_mean, self.scaled_h_star, out=product)
         product -= h
         product *= p
+        # Each (x, mu) sum is one matrix-vector product over an
+        # (x * mu, omega) view of the slice.
         self.collision[n] = self.w_x_mu.ravel() @ product.reshape(-1, n_omega)
         self.equilibrium[n] = (self.w_x_mu * h_mean[:, None]).ravel() @ p.reshape(-1, n_omega)
 
@@ -289,7 +286,7 @@ def _assemble_gradient(
     h_star = material.h_star
     h_star_mean = float(mean_omega(h_star, grid))
 
-    w_t = grid.t_weights / grid.t_span
+    w_t = grid.t_mean
     w_mu_pos = grid.mu_weights[half:]
     mu_pos = grid.mu_nodes[half:]
 

@@ -181,10 +181,6 @@ def _integrate(
     # Per-omega tables are spread over (mu, omega) so that each elementwise
     # update runs over whole contiguous (mu, omega) rows.
     relax_coef = np.broadcast_to(dt / (epsilon**2 * material.tau), (n_mu, n_omega)).copy()
-    weight = np.outer(
-        grid.mu_weights / grid.mu_weights.sum(),
-        grid.omega_weights / grid.omega_weights.sum(),
-    )
     h_star = np.broadcast_to(material.h_star, (n_mu, n_omega)).copy()
     h_star_mean = mean_omega(material.h_star, grid)
 
@@ -206,7 +202,7 @@ def _integrate(
     )
 
     state = trajectory[0] if store_trajectory else scratch[0]
-    density = np.einsum("xmo,mo->x", state, weight) / h_star_mean
+    density = np.einsum("xmo,mo->x", state, grid.mu_omega_mean) / h_star_mean
     for n in range(1, n_t):
         new = trajectory[n] if store_trajectory else scratch[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
@@ -230,7 +226,7 @@ def _integrate(
         new[0, :half, :] = new[1, :half, :]
         # The weights are positive, so the density of the new state is
         # nonfinite whenever any of its cells is.
-        density = np.einsum("xmo,mo->x", new, weight) / h_star_mean
+        density = np.einsum("xmo,mo->x", new, grid.mu_omega_mean) / h_star_mean
         if not np.isfinite(density).all():
             raise RuntimeError(
                 f"{label} solve produced a nonfinite value at step {n} "
@@ -331,7 +327,6 @@ def solve_adjoint(
     grid: PhaseGrid,
     mismatch_value: float,
     test_window: Callable[[FloatArray], FloatArray] | FloatArray,
-    final_time: float | None = None,
     epsilon: float | None = None,
     store_trajectory: bool = True,
     on_step: Callable[[int, FloatArray], None] | None = None,
@@ -359,11 +354,6 @@ def solve_adjoint(
     """
     eps = _resolve_epsilon(grid, epsilon)
     _validate_stability(material, grid, eps)
-    if final_time is not None and abs(final_time - grid.t_nodes[-1]) > 1e-9:
-        raise ValueError(
-            f"final_time {final_time} must coincide with the last time node "
-            f"{grid.t_nodes[-1]}; build the grid with the intended horizon"
-        )
     if callable(test_window):
         window = np.asarray(test_window(grid.t_nodes), dtype=float)
     else:

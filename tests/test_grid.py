@@ -1,10 +1,15 @@
-"""Grid construction and bracket-average behavior."""
+"""Grid construction and the normalized bracket weights."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phonon_inverse
+from phonon_inverse.collision import mean_mu_omega
 from phonon_inverse.grid import GridConfig, PhaseGrid, build_grid
 
 
@@ -81,65 +86,52 @@ class TestBuildGrid:
 
 
 class TestAverage:
+    """The normalized weights every mean in the package reads."""
+
     def test_constant_field_any_axes(self, grid):
-        values = np.full((grid.n_x, grid.n_mu, grid.n_omega), 3.25)
-        for over in ("x", "mu", "omega", ("mu", "omega"), ("x", "mu", "omega")):
-            result = grid.average(values, ("x", "mu", "omega"), over)
-            assert np.allclose(result, 3.25, rtol=1e-12)
+        for name in ("t_mean", "x_mean", "mu_mean", "omega_mean", "mu_omega_mean"):
+            mean = getattr(grid, name)
+            assert mean.sum() == pytest.approx(1.0, rel=1e-14)
+            assert np.sum(np.full(mean.shape, 3.25) * mean) == pytest.approx(3.25, rel=1e-12)
 
     def test_odd_function_of_mu(self, grid):
-        values = np.tile(grid.mu_nodes, (grid.n_x, 1))
-        result = grid.average(values, ("x", "mu"), "mu")
-        assert np.allclose(result, 0.0, atol=1e-15)
+        assert abs(grid.mu_mean @ grid.mu_nodes) <= 1e-15
 
     def test_mu_squared_times_omega(self, grid):
         # Normalized mean of mu^2 * omega over (mu, omega): mean(mu^2) is
         # exactly 1/3 under Gauss-Legendre and the channel mean of omega over
         # the uniform band is the midpoint 2.2, so the closed form is 11/15.
         values = grid.mu_nodes[:, None] ** 2 * grid.omega_nodes[None, :]
-        result = grid.average(values, ("mu", "omega"), ("mu", "omega"))
-        assert result == pytest.approx(11.0 / 15.0, rel=1e-12)
-
-    def test_half_range_normalization(self, grid):
-        # The mean of 1 over mu > 0 is 1 when normalized by the half measure.
-        ones = np.ones(grid.n_mu)
-        assert grid.average(ones, ("mu",), "mu", mu_range="positive") == pytest.approx(1.0, rel=1e-12)
-        # mean of mu over mu > 0 is int_0^1 mu dmu = 1/2, but only up to the
-        # half-range restriction error of the full-range Gauss-Legendre rule
-        # (exactness holds on (-1, 1), not on the half interval).
-        assert grid.average(grid.mu_nodes.copy(), ("mu",), "mu", mu_range="positive") == pytest.approx(
-            0.5, rel=1e-3
-        )
-
-    def test_half_ranges_partition_full_range(self, grid):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=(grid.n_mu, grid.n_omega))
-        pos = grid.average(values, ("mu", "omega"), "mu", mu_range="positive")
-        neg = grid.average(values, ("mu", "omega"), "mu", mu_range="negative")
-        full = grid.average(values, ("mu", "omega"), "mu")
-        # Each half-range mean is normalized by measure 1; the full range by 2.
-        assert np.allclose(0.5 * (pos + neg), full, rtol=1e-12, atol=1e-14)
+        assert np.sum(values * grid.mu_omega_mean) == pytest.approx(11.0 / 15.0, rel=1e-12)
 
     def test_time_average_trapezoid(self, grid):
         # <t>_t over [0, 1.5] is 0.75; linear functions are exact under trapezoid.
-        assert grid.average(grid.t_nodes.copy(), ("t",), "t") == pytest.approx(0.75, rel=1e-12)
+        assert grid.t_mean @ grid.t_nodes == pytest.approx(0.75, rel=1e-12)
+
+    def test_mu_omega_table_is_outer_of_normalized_weights(self, grid):
+        # The forward march's density, and through it every golden, depends
+        # on the summation order fixed by this exact table.
+        expected = np.outer(
+            grid.mu_weights / grid.mu_weights.sum(),
+            grid.omega_weights / grid.omega_weights.sum(),
+        )
+        assert np.array_equal(grid.mu_omega_mean, expected)
+
+    def test_read_only(self, grid):
+        for name in ("t_mean", "x_mean", "mu_mean", "omega_mean", "mu_omega_mean"):
+            with pytest.raises(ValueError):
+                getattr(grid, name)[0] = 0.0
 
     def test_scalar_return_type(self, grid):
         values = np.ones((grid.n_mu, grid.n_omega))
-        out = grid.average(values, ("mu", "omega"), ("mu", "omega"))
-        assert isinstance(out, float)
-
-    def test_axis_mismatch_rejected(self, grid):
-        values = np.ones((grid.n_mu, grid.n_omega))
-        with pytest.raises(ValueError, match="not among axes"):
-            grid.average(values, ("mu", "omega"), "x")
-        with pytest.raises(ValueError, match="shape"):
-            grid.average(values, ("x", "mu", "omega"), "mu")
+        assert isinstance(mean_mu_omega(values, grid), float)
 
     def test_batch_axis_untouched(self, grid):
-        values = np.arange(3)[:, None, None] * np.ones((3, grid.n_mu, grid.n_omega))
-        out = grid.average(values, ("pair", "mu", "omega"), ("mu", "omega"))
-        assert out == pytest.approx([0.0, 1.0, 2.0])
+        # Leading (t, x) axes pass through: a field constant in (mu, omega)
+        # has its own value as its mean at every (t, x).
+        levels = np.arange(3)[:, None] + grid.x_nodes[None, :]
+        values = levels[..., None, None] * np.ones((grid.n_mu, grid.n_omega))
+        np.testing.assert_allclose(mean_mu_omega(values, grid), levels, rtol=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -152,8 +144,22 @@ class TestAverage:
         rng = np.random.default_rng(seed)
         f1 = rng.normal(size=(g.n_mu, g.n_omega))
         f2 = rng.normal(size=(g.n_mu, g.n_omega))
-        lhs = g.average(a * f1 + b * f2, ("mu", "omega"), ("mu", "omega"))
-        rhs = a * g.average(f1, ("mu", "omega"), ("mu", "omega")) + b * g.average(
-            f2, ("mu", "omega"), ("mu", "omega")
-        )
+        lhs = mean_mu_omega(a * f1 + b * f2, g)
+        rhs = a * mean_mu_omega(f1, g) + b * mean_mu_omega(f2, g)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+# A weight vector divided by its own sum, or anything divided by an axis span.
+_INLINE_NORMALIZATION = re.compile(r"_weights\s*/[^#\n]*\bsum\(|\bt_span\b")
+
+
+def test_normalizations_live_in_grid_module():
+    package = Path(phonon_inverse.__file__).parent
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "grid.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if _INLINE_NORMALIZATION.search(line)
+    ]
+    assert not offenders, "normalize through PhaseGrid's *_mean arrays:\n" + "\n".join(offenders)

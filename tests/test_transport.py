@@ -335,10 +335,6 @@ class TestSolveAdjoint:
         assert streamed.values is None
         np.testing.assert_array_equal(streamed.left_trace, stored.left_trace)
 
-    def test_final_time_must_match_grid(self, grid, material):
-        with pytest.raises(ValueError, match="final_time"):
-            solve_adjoint(material, grid, 1.0, self.window(), final_time=1.3)
-
     def test_window_array_length_checked(self, grid, material):
         with pytest.raises(ValueError, match="time node"):
             solve_adjoint(material, grid, 1.0, np.ones(7))

@@ -15,7 +15,6 @@ checks do not depend on the absolute normalization of g*.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -32,6 +31,11 @@ logger = logging.getLogger(__name__)
 # this fraction of the global temperature scale the gradient is considered
 # flat and kappa undefined (stored as NaN, flagged in kappa_defined).
 GRADIENT_FLOOR_FRACTION = 1e-8
+
+# write_macro_trace_csv formats this many time nodes (n_x rows each) per
+# write, and its row template matches csv.writer's default dialect.
+_CSV_BLOCK_ROWS = 64
+_CSV_ROW = "%s,%s,%.17g,%.17g,%.17g,%.17g,%d\r\n"
 
 
 @dataclass(frozen=True)
@@ -341,20 +345,31 @@ def chapman_enskog_residual(
 
 
 def write_macro_trace_csv(macro: MacroTrace, path) -> None:
-    """Dump a macroscopic trace as CSV rows (t, x, q, T, dT_dx, kappa, kappa_defined)."""
+    """Dump a macroscopic trace as CSV rows (t, x, q, T, dT_dx, kappa, kappa_defined).
+
+    One header row, then one row per (t, x) node with x varying fastest.
+    Floats are written as ``.17g`` text, which reads back to the same
+    double; an undefined kappa is written as ``nan`` next to a
+    ``kappa_defined`` of 0.  Lines end in CRLF, as :func:`csv.writer` ends
+    them, and no field is quoted.
+
+    Rows are formatted a block of time nodes at a time, with one ``%``
+    format and one write per block, so memory stays at one block however
+    long the trace is.
+    """
+    n_x = macro.x_nodes.size
+    t_text = [format(t, ".17g") for t in macro.t_nodes]
+    x_text = [format(x, ".17g") for x in macro.x_nodes]
+    columns = (macro.q, macro.temperature, macro.dT_dx, macro.kappa, macro.kappa_defined)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "x", "q", "T", "dT_dx", "kappa", "kappa_defined"])
-        for i, t in enumerate(macro.t_nodes):
-            for j, x in enumerate(macro.x_nodes):
-                writer.writerow(
-                    [
-                        format(t, ".17g"),
-                        format(x, ".17g"),
-                        format(macro.q[i, j], ".17g"),
-                        format(macro.temperature[i, j], ".17g"),
-                        format(macro.dT_dx[i, j], ".17g"),
-                        format(macro.kappa[i, j], ".17g"),
-                        int(macro.kappa_defined[i, j]),
-                    ]
-                )
+        handle.write("t,x,q,T,dT_dx,kappa,kappa_defined\r\n")
+        for start in range(0, len(t_text), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            t_block = t_text[start:stop]
+            n_rows = len(t_block) * n_x
+            fields: list = [None] * (7 * n_rows)
+            fields[0::7] = [t for t in t_block for _ in range(n_x)]
+            fields[1::7] = x_text * len(t_block)
+            for offset, column in enumerate(columns, start=2):
+                fields[offset::7] = column[start:stop].ravel().tolist()
+            handle.write(_CSV_ROW * n_rows % tuple(fields))

@@ -239,6 +239,45 @@ omega_slice = 0.1, 0.5, 0.9
         assert captured.err.startswith("error: ")
 
 
+class TestDiffusionCommand:
+    # fig1's pulse on a coarse grid, with a short horizon and two epsilons.
+    CHEAP_DIFFUSION_INI = """
+[grid]
+dx = 0.05
+n_mu = 16
+
+[diffusion]
+epsilons = 0.4, 0.2
+dts = 0.004, 0.002
+t_end = 0.3
+settle_time = 0.1
+"""
+
+    def test_outputs_and_byte_identical_rerun(self, tmp_path):
+        config_path = write_config(tmp_path, self.CHEAP_DIFFUSION_INI)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            argv = ["diffusion", "--preset", "fig1", "--config", str(config_path),
+                    "--out", str(out)]
+            assert main(argv) == 0
+        names = [
+            "config.ini", "kappa_summary.csv", "macro_trace_eps0.2.csv",
+            "macro_trace_eps0.4.csv", "residuals.csv", "summary.csv",
+        ]
+        assert sorted(p.name for p in out1.iterdir()) == names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+        config = assemble_config("fig1", config_path, None)
+        d = config.diffusion
+        for eps, dt in zip(d.epsilons, d.dts):
+            grid = config.make_grid(dt=dt, t_end=d.t_end, epsilon=eps)
+            header, rows = read_csv(out1 / f"macro_trace_eps{eps:g}.csv")
+            assert header == ["t", "x", "q", "T", "dT_dx", "kappa", "kappa_defined"]
+            assert len(rows) == grid.n_t * grid.n_x
+        assert int(summary_dict(out1 / "summary.csv")["n_runs"]) == 2
+
+
 class TestGenerateData:
     def test_rerun_is_byte_identical(self, tmp_path):
         config_path = write_config(tmp_path, CHEAP_PAIR_INI)

@@ -8,6 +8,8 @@ import pytest
 
 from phonon_inverse.collision import temperature_of
 from phonon_inverse.diagnostics import (
+    _CSV_BLOCK_ROWS,
+    MacroTrace,
     accumulation_kappa,
     bulk_kappa,
     chapman_enskog_residual,
@@ -558,9 +560,59 @@ class TestCsvWriter:
             assert float(row[1]) == macro.x_nodes[j]
             assert float(row[2]) == macro.q[i, j]
             assert float(row[3]) == macro.temperature[i, j]
+            assert float(row[4]) == macro.dT_dx[i, j]
             kappa = float(row[5])
             if macro.kappa_defined[i, j]:
                 assert kappa == macro.kappa[i, j]
             else:
                 assert np.isnan(kappa)
             assert row[6] == str(int(macro.kappa_defined[i, j]))
+
+    @pytest.mark.parametrize("n_t", [0, 1, 2 * _CSV_BLOCK_ROWS + 3])
+    def test_bytes_match_csv_writer(self, n_t, tmp_path):
+        # Two full blocks and a partial one, a single row, and header only.
+        n_x = 7
+        rng = np.random.default_rng(8)
+
+        def extreme_field():
+            field = rng.standard_normal((n_t, n_x)) * 10.0 ** rng.integers(
+                -300, 301, (n_t, n_x)
+            )
+            specials = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, np.inf, 1.0 / 3.0]
+            field.ravel()[: min(field.size, len(specials))] = specials[: field.size]
+            return field
+
+        defined = rng.random((n_t, n_x)) < 0.7
+        defined[:, 0] = False
+        kappa = np.where(defined, extreme_field(), np.nan)
+        macro = MacroTrace(
+            t_nodes=np.linspace(0.0, 0.5, n_t) + 1.0 / 3.0,
+            x_nodes=np.linspace(0.0, 1.0, n_x),
+            q=extreme_field(),
+            temperature=extreme_field(),
+            dT_dx=extreme_field(),
+            kappa=kappa,
+            kappa_defined=defined,
+            final_h=np.zeros((n_x, 1, 1)),
+        )
+        path = tmp_path / "macro.csv"
+        write_macro_trace_csv(macro, path)
+
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["t", "x", "q", "T", "dT_dx", "kappa", "kappa_defined"])
+            for i, t in enumerate(macro.t_nodes):
+                for j, x in enumerate(macro.x_nodes):
+                    writer.writerow(
+                        [
+                            format(t, ".17g"),
+                            format(x, ".17g"),
+                            format(macro.q[i, j], ".17g"),
+                            format(macro.temperature[i, j], ".17g"),
+                            format(macro.dT_dx[i, j], ".17g"),
+                            format(macro.kappa[i, j], ".17g"),
+                            int(macro.kappa_defined[i, j]),
+                        ]
+                    )
+        assert path.read_bytes() == expected.read_bytes()

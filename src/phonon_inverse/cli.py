@@ -408,7 +408,12 @@ def load_config(path: Path, config: ExperimentConfig | None = None) -> Experimen
     parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path):
         raise ValueError(f"config file not found or unreadable: {path}")
-    for section_name in parser.sections():
+    # configparser keeps [DEFAULT] out of sections() and merges its keys into
+    # every other section, so a non-empty one is checked as a section itself.
+    section_names = parser.sections()
+    if parser.defaults():
+        section_names.insert(0, parser.default_section)
+    for section_name in section_names:
         if section_name not in _SECTION_ORDER:
             raise ValueError(
                 f"unknown config section [{section_name}]; "

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from phonon_inverse.collision import mean_omega
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import BoundarySource, SourceFunction, solve_forward
@@ -64,30 +65,26 @@ def to_g(values_h: FloatArray, material: MaterialModel) -> FloatArray:
 
 
 def heat_flux(
-    values_g: FloatArray, material: MaterialModel, grid: PhaseGrid,
-    epsilon: float | None = None,
+    values_g: FloatArray, material: MaterialModel, grid: PhaseGrid
 ) -> FloatArray | float:
     """Spectral heat flux (1/epsilon) * mean_{mu,omega}(mu v g).
 
     ``values_g`` is in g-variables with trailing (mu, omega) axes; leading
     axes (t and/or x) pass through.
     """
-    eps = grid.epsilon if epsilon is None else float(epsilon)
-    weight = grid.mu_omega_mean * grid.mu_nodes[:, None] * material.velocity / eps
+    weight = grid.mu_omega_mean * grid.mu_nodes[:, None] * material.velocity / grid.epsilon
     result = np.einsum("...mo,mo->...", values_g, weight)
     if result.ndim == 0:
         return float(result)
     return result
 
 
-def _macro_moment_weights(
-    material: MaterialModel, grid: PhaseGrid, epsilon: float
-) -> FloatArray:
+def _macro_moment_weights(material: MaterialModel, grid: PhaseGrid) -> FloatArray:
     """Weight tables turning streamed h-moments into (temperature, flux)."""
-    h_star_mean = float(grid.omega_mean @ material.h_star)
-    temperature_w = grid.mu_omega_mean / h_star_mean
+    temperature_w = grid.mu_omega_mean / mean_omega(material.h_star, grid)
     flux_w = (
-        grid.mu_omega_mean * grid.mu_nodes[:, None] * (material.velocity * material.tau) / epsilon
+        grid.mu_omega_mean * grid.mu_nodes[:, None] * (material.velocity * material.tau)
+        / grid.epsilon
     )
     return np.stack([temperature_w, flux_w])
 
@@ -118,7 +115,6 @@ def compute_macro_trace(
     material: MaterialModel,
     grid: PhaseGrid,
     source: BoundarySource | SourceFunction,
-    epsilon: float | None = None,
 ) -> MacroTrace:
     """Run the forward solver in streaming-moment mode and extract the trace.
 
@@ -126,10 +122,9 @@ def compute_macro_trace(
     handles long small-epsilon runs whose full trajectories would not fit
     comfortably in memory.
     """
-    eps = grid.epsilon if epsilon is None else float(epsilon)
-    weights = _macro_moment_weights(material, grid, eps)
+    weights = _macro_moment_weights(material, grid)
     traj = solve_forward(
-        material, grid, source, epsilon=eps, store_trajectory=False,
+        material, grid, source, store_trajectory=False,
         moment_weights=weights, snapshot_times=[grid.t_nodes[-1]],
     )
     temperature = traj.moments[:, :, 0]
@@ -143,7 +138,6 @@ def macro_trace_from_values(
     values_h: FloatArray,
     material: MaterialModel,
     grid: PhaseGrid,
-    epsilon: float | None = None,
     t_nodes: FloatArray | None = None,
 ) -> MacroTrace:
     """Extract the macroscopic trace from a stored h-trajectory.
@@ -151,7 +145,6 @@ def macro_trace_from_values(
     ``values_h`` may cover any subset of time slices; ``t_nodes`` labels them
     and defaults to the grid's full time axis.
     """
-    eps = grid.epsilon if epsilon is None else float(epsilon)
     t_nodes = grid.t_nodes if t_nodes is None else np.asarray(t_nodes, dtype=float)
     expected = (t_nodes.size, grid.n_x, grid.n_mu, grid.n_omega)
     if values_h.shape != expected:
@@ -159,19 +152,11 @@ def macro_trace_from_values(
             f"values_h shape {values_h.shape} does not match {expected}; "
             "pass t_nodes when the trajectory covers a subset of times"
         )
-    weights = _macro_moment_weights(material, grid, eps)
+    weights = _macro_moment_weights(material, grid)
     moments = np.einsum("txmo,kmo->txk", values_h, weights)
     return _assemble_macro_trace(
         t_nodes, grid.x_nodes, moments[:, :, 0], moments[:, :, 1], grid.dx, values_h[-1]
     )
-
-
-def pointwise_kappa(macro: MacroTrace) -> tuple[FloatArray, FloatArray]:
-    """Fourier ratio kappa = -q / dT_dx with its defined-mask.
-
-    Recomputed from the stored fields; identical to the cached columns.
-    """
-    return _kappa_ratio(macro.q, macro.temperature, macro.dT_dx)
 
 
 def settled_kappa(
@@ -306,7 +291,6 @@ def chapman_enskog_residual(
     slice_g: FloatArray,
     material: MaterialModel,
     grid: PhaseGrid,
-    epsilon: float | None = None,
 ) -> float:
     """Relative distance of a g-snapshot from its first-order diffusive form.
 
@@ -315,13 +299,12 @@ def chapman_enskog_residual(
     of the defect; order one in the ballistic regime, small and shrinking
     with epsilon in the diffusive regime.
     """
-    eps = grid.epsilon if epsilon is None else float(epsilon)
     if slice_g.shape != (grid.n_x, grid.n_mu, grid.n_omega):
         raise ValueError(
             f"expected a single-time slice of shape "
             f"{(grid.n_x, grid.n_mu, grid.n_omega)}, got {slice_g.shape}"
         )
-    h_star_mean = float(grid.omega_mean @ material.h_star)
+    h_star_mean = mean_omega(material.h_star, grid)
     u = (
         np.einsum("xmo,m,o->x", slice_g / material.tau, grid.mu_mean, grid.omega_mean)
         / h_star_mean
@@ -333,7 +316,7 @@ def chapman_enskog_residual(
         * (material.velocity * material.tau * material.g_star)
         * du_dx[:, None, None]
     )
-    defect = slice_g - leading - eps * first_order
+    defect = slice_g - leading - grid.epsilon * first_order
 
     def weighted_norm(field: FloatArray) -> float:
         quad = np.einsum(

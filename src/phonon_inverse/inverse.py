@@ -38,6 +38,10 @@ from phonon_inverse.transport import (
     source_table,
 )
 
+# Draws gradient_aligned_directions makes before it gives up on min_cos.
+_MAX_DIRECTION_DRAWS = 10_000
+
+
 @dataclass(frozen=True)
 class SourceTestPair:
     """One experiment: an injection pulse plus a timed boundary readout.
@@ -147,11 +151,10 @@ def forward_map(
     material: MaterialModel,
     grid: PhaseGrid,
     pair: SourceTestPair,
-    epsilon: float | None = None,
 ) -> float:
     """The scalar measurement: window-averaged boundary temperature at x = 0."""
     _require_window_fit(pair, grid)
-    trajectory = solve_forward(material, grid, pair.source, epsilon=epsilon, store_trajectory=False)
+    trajectory = solve_forward(material, grid, pair.source, store_trajectory=False)
     window_values = pair.window(grid.t_nodes)
     return _windowed_trace_average(trajectory.left_trace, window_values, material, grid)
 
@@ -160,12 +163,11 @@ def forward_map_batch(
     material: MaterialModel,
     grid: PhaseGrid,
     pairs: Sequence[SourceTestPair],
-    epsilon: float | None = None,
 ) -> FloatArray:
     """Measurements for several experiments; each equals :func:`forward_map` bit for bit."""
     for pair in pairs:
         _require_window_fit(pair, grid)
-    traces = solve_forward_batch(material, grid, [pair.source for pair in pairs], epsilon=epsilon)
+    traces = solve_forward_batch(material, grid, [pair.source for pair in pairs])
     return np.array([
         _windowed_trace_average(trace, pair.window(grid.t_nodes), material, grid)
         for trace, pair in zip(traces, pairs)
@@ -176,10 +178,9 @@ def generate_data(
     material: MaterialModel,
     grid: PhaseGrid,
     pairs: Sequence[SourceTestPair],
-    epsilon: float | None = None,
 ) -> list[SourceTestPair]:
     """Attach noise-free synthetic measurements computed from this material."""
-    data = forward_map_batch(material, grid, pairs, epsilon=epsilon)
+    data = forward_map_batch(material, grid, pairs)
     return [replace(pair, datum=float(value)) for pair, value in zip(pairs, data)]
 
 
@@ -195,11 +196,10 @@ def loss(
     material: MaterialModel,
     grid: PhaseGrid,
     pair: SourceTestPair,
-    epsilon: float | None = None,
 ) -> tuple[float, float]:
     """Half-squared misfit and its signed mismatch: (l^2 / 2, l)."""
     datum = _require_datum(pair)
-    mismatch = forward_map(material, grid, pair, epsilon=epsilon) - datum
+    mismatch = forward_map(material, grid, pair) - datum
     return 0.5 * mismatch * mismatch, mismatch
 
 
@@ -207,11 +207,10 @@ def total_loss(
     material: MaterialModel,
     grid: PhaseGrid,
     pairs: Sequence[SourceTestPair],
-    epsilon: float | None = None,
 ) -> float:
     """Mean of the per-experiment losses over the whole collection."""
     data = np.array([_require_datum(pair) for pair in pairs])
-    mismatches = forward_map_batch(material, grid, pairs, epsilon=epsilon) - data
+    mismatches = forward_map_batch(material, grid, pairs) - data
     return float(np.mean(0.5 * mismatches**2))
 
 
@@ -271,7 +270,6 @@ def _assemble_gradient(
     h_left: FloatArray,
     p_left: FloatArray,
     interior: _InteriorSums,
-    epsilon: float,
 ) -> FloatArray:
     """Combine the boundary traces and the interior sums into the nodal gradient.
 
@@ -285,6 +283,7 @@ def _assemble_gradient(
     tau = material.tau
     h_star = material.h_star
     h_star_mean = float(mean_omega(h_star, grid))
+    epsilon = grid.epsilon
 
     w_t = grid.t_mean
     w_mu_pos = grid.mu_weights[half:]
@@ -325,7 +324,6 @@ def loss_and_gradient(
     material: MaterialModel,
     grid: PhaseGrid,
     pair: SourceTestPair,
-    epsilon: float | None = None,
 ) -> tuple[float, float, FloatArray]:
     """One forward and one adjoint solve: (loss, mismatch, gradient).
 
@@ -337,22 +335,21 @@ def loss_and_gradient(
     """
     _require_window_fit(pair, grid)
     datum = _require_datum(pair)
-    eps = grid.epsilon if epsilon is None else float(epsilon)
 
-    forward = solve_forward(material, grid, pair.source, epsilon=eps)
+    forward = solve_forward(material, grid, pair.source)
     window_values = pair.window(grid.t_nodes)
     measurement = _windowed_trace_average(forward.left_trace, window_values, material, grid)
     mismatch = measurement - datum
 
     interior = _InteriorSums(material, grid, forward.values)
     adjoint = solve_adjoint(
-        material, grid, mismatch, window_values, epsilon=eps,
+        material, grid, mismatch, window_values,
         store_trajectory=False, on_step=interior.add,
     )
     phi_pos = source_table(pair.source, grid)
     gradient = _assemble_gradient(
         material, grid, phi_pos, window_values, mismatch,
-        forward.left_trace, adjoint.left_trace, interior, eps,
+        forward.left_trace, adjoint.left_trace, interior,
     )
     return 0.5 * mismatch * mismatch, mismatch, gradient
 
@@ -361,10 +358,9 @@ def frechet_gradient(
     material: MaterialModel,
     grid: PhaseGrid,
     pair: SourceTestPair,
-    epsilon: float | None = None,
 ) -> FloatArray:
     """Nodal loss gradient with respect to tau for one experiment."""
-    return loss_and_gradient(material, grid, pair, epsilon=epsilon)[2]
+    return loss_and_gradient(material, grid, pair)[2]
 
 
 def central_difference(
@@ -389,7 +385,6 @@ def fd_gradient_oracle(
     pair: SourceTestPair,
     direction: FloatArray,
     step: float = 1e-3,
-    epsilon: float | None = None,
 ) -> float:
     """Directional loss derivative along a tau-perturbation, by centered differences.
 
@@ -398,7 +393,7 @@ def fd_gradient_oracle(
     """
 
     def loss_at(tau: FloatArray) -> float:
-        return loss(material.with_tau(tau), grid, pair, epsilon=epsilon)[0]
+        return loss(material.with_tau(tau), grid, pair)[0]
 
     return central_difference(loss_at, material.tau, direction, step)
 
@@ -417,6 +412,8 @@ def gradient_aligned_directions(
     between the adjoint pairing and finite differences is only meaningful in
     such directions: when the true directional derivative is near zero the
     ratio amplifies discretization dust regardless of gradient accuracy.
+    Raises if ``count`` directions do not clear ``min_cos`` within
+    ``_MAX_DIRECTION_DRAWS`` draws.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
@@ -428,11 +425,16 @@ def gradient_aligned_directions(
     rng = np.random.default_rng(seed)
     unit = np.asarray(gradient, dtype=float) / scale
     directions: list[FloatArray] = []
-    while len(directions) < count:
+    for _ in range(_MAX_DIRECTION_DRAWS):
         draw = rng.standard_normal(unit.size)
         if abs(omega_inner(draw, unit, grid)) >= min_cos * omega_norm(draw, grid):
             directions.append(draw)
-    return directions
+            if len(directions) == count:
+                return directions
+    raise ValueError(
+        f"only {len(directions)} of {count} directions cleared min_cos = {min_cos} "
+        f"in {_MAX_DIRECTION_DRAWS} draws; lower min_cos"
+    )
 
 
 def lipschitz_probe(
@@ -442,7 +444,6 @@ def lipschitz_probe(
     trials: int = 10,
     perturbation_scale: float = 1e-2,
     seed: int = 0,
-    epsilon: float | None = None,
 ) -> tuple[float, FloatArray]:
     """Gradient-increment ratios under random tau-perturbations.
 
@@ -454,7 +455,7 @@ def lipschitz_probe(
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
-    base = frechet_gradient(material, grid, pair, epsilon=epsilon)
+    base = frechet_gradient(material, grid, pair)
     ratios = []
     for _ in range(trials):
         tilde = perturbation_scale * rng.standard_normal(material.tau.size)
@@ -465,7 +466,7 @@ def lipschitz_probe(
             perturbed_material = material.with_tau(material.tau + tilde)
         except ValueError:
             continue
-        shifted = frechet_gradient(perturbed_material, grid, pair, epsilon=epsilon)
+        shifted = frechet_gradient(perturbed_material, grid, pair)
         ratios.append(omega_norm(shifted - base, grid) / size)
     if not ratios:
         raise ValueError(

@@ -91,7 +91,6 @@ class PairObjective:
         pairs: Sequence[inverse.SourceTestPair],
         material_builder: Callable[[FloatArray], MaterialModel],
         grid: PhaseGrid,
-        epsilon: float | None = None,
         tau_bounds: tuple[float, float] = DEFAULT_TAU_BOUNDS,
     ) -> None:
         if not pairs:
@@ -99,7 +98,6 @@ class PairObjective:
         self.pairs = list(pairs)
         self.material_builder = material_builder
         self.grid = grid
-        self.epsilon = epsilon
         self.tau_bounds = tau_bounds
 
     @property
@@ -108,18 +106,16 @@ class PairObjective:
 
     def loss(self, tau: FloatArray, index: int) -> float:
         material = self.material_builder(tau)
-        return inverse.loss(material, self.grid, self.pairs[index], epsilon=self.epsilon)[0]
+        return inverse.loss(material, self.grid, self.pairs[index])[0]
 
     def loss_and_gradient(self, tau: FloatArray, index: int) -> tuple[float, FloatArray]:
         material = self.material_builder(tau)
-        value, _, gradient = inverse.loss_and_gradient(
-            material, self.grid, self.pairs[index], epsilon=self.epsilon
-        )
+        value, _, gradient = inverse.loss_and_gradient(material, self.grid, self.pairs[index])
         return value, gradient
 
     def total_loss(self, tau: FloatArray) -> float:
         material = self.material_builder(tau)
-        return inverse.total_loss(material, self.grid, self.pairs, epsilon=self.epsilon)
+        return inverse.total_loss(material, self.grid, self.pairs)
 
     def clamp(self, tau: FloatArray) -> FloatArray:
         lo, hi = self.tau_bounds

@@ -98,15 +98,8 @@ class Trajectory:
     snapshot_times: tuple[float, ...] | None = None
 
 
-def _resolve_epsilon(grid: PhaseGrid, epsilon: float | None) -> float:
-    if epsilon is None:
-        return grid.epsilon
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return float(epsilon)
-
-
-def _validate_stability(material: MaterialModel, grid: PhaseGrid, epsilon: float) -> None:
+def _validate_stability(material: MaterialModel, grid: PhaseGrid) -> None:
+    epsilon = grid.epsilon
     max_speed = material.max_characteristic_speed(grid.mu_nodes)
     advective_limit = epsilon * grid.dx / max_speed
     if grid.dt > advective_limit * (1.0 + 1e-12):
@@ -150,7 +143,6 @@ def _inflow_table(
 def _integrate(
     material: MaterialModel,
     grid: PhaseGrid,
-    epsilon: float,
     inflow: FloatArray,
     store_trajectory: bool,
     label: str,
@@ -174,7 +166,7 @@ def _integrate(
         raise ValueError(f"inflow must have shape {(n_t, half, n_omega)}, got {inflow.shape}")
     state_shape = (n_x, n_mu, n_omega)
 
-    dt, dx = grid.dt, grid.dx
+    dt, dx, epsilon = grid.dt, grid.dx, grid.epsilon
     # Advective Courant numbers per (mu, omega); positive-mu block is the
     # upper half of the ascending node ordering.
     courant = (dt / (epsilon * dx)) * grid.mu_nodes[:, None] * material.velocity
@@ -267,7 +259,6 @@ def solve_forward(
     material: MaterialModel,
     grid: PhaseGrid,
     source: BoundarySource | SourceFunction,
-    epsilon: float | None = None,
     store_trajectory: bool = True,
     moment_weights: FloatArray | None = None,
     snapshot_times: Sequence[float] = (),
@@ -281,12 +272,11 @@ def solve_forward(
     ``moment_weights`` reductions and full-state ``snapshot_times`` copies
     cover the diagnostic uses that would otherwise need the whole stack.
     """
-    eps = _resolve_epsilon(grid, epsilon)
-    _validate_stability(material, grid, eps)
+    _validate_stability(material, grid)
     inflow = _inflow_table(source, material, grid)
     steps = _snapshot_steps(grid, snapshot_times)
     values, left, right, moments, snapshots = _integrate(
-        material, grid, eps, inflow, store_trajectory, label="forward",
+        material, grid, inflow, store_trajectory, label="forward",
         moment_weights=moment_weights, snapshot_steps=steps,
     )
     return Trajectory(
@@ -303,7 +293,6 @@ def solve_forward_batch(
     material: MaterialModel,
     grid: PhaseGrid,
     sources: Sequence[BoundarySource | SourceFunction],
-    epsilon: float | None = None,
 ) -> FloatArray:
     """Left boundary traces for several pulses, one march per pulse.
 
@@ -311,11 +300,10 @@ def solve_forward_batch(
     to ``solve_forward(..., store_trajectory=False).left_trace`` for
     ``sources[i]``.  Stability is validated once for the shared material.
     """
-    eps = _resolve_epsilon(grid, epsilon)
-    _validate_stability(material, grid, eps)
+    _validate_stability(material, grid)
     return np.stack([
         _integrate(
-            material, grid, eps, _inflow_table(source, material, grid),
+            material, grid, _inflow_table(source, material, grid),
             store_trajectory=False, label="forward-batch",
         )[1]
         for source in sources
@@ -327,7 +315,6 @@ def solve_adjoint(
     grid: PhaseGrid,
     mismatch_value: float,
     test_window: Callable[[FloatArray], FloatArray] | FloatArray,
-    epsilon: float | None = None,
     store_trajectory: bool = True,
     on_step: Callable[[int, FloatArray], None] | None = None,
 ) -> Trajectory:
@@ -352,8 +339,7 @@ def solve_adjoint(
     produces it; with ``store_trajectory=False`` this reduces the field
     without keeping it.
     """
-    eps = _resolve_epsilon(grid, epsilon)
-    _validate_stability(material, grid, eps)
+    _validate_stability(material, grid)
     if callable(test_window):
         window = np.asarray(test_window(grid.t_nodes), dtype=float)
     else:
@@ -371,7 +357,7 @@ def solve_adjoint(
     # evaluated at T - s, i.e. the forward nodes in reverse order; the sign
     # flip comes from writing the mu < 0 boundary value at -mu > 0.
     profile = (
-        -eps
+        -grid.epsilon
         * mismatch_value
         / h_star_mean
         * material.h_star
@@ -384,7 +370,7 @@ def solve_adjoint(
         lambda s, state: on_step(last - s, state[:, ::-1, :].copy())
     )
     values, left, right, _, _ = _integrate(
-        material, grid, eps, inflow, store_trajectory, label="adjoint",
+        material, grid, inflow, store_trajectory, label="adjoint",
         on_step=reversed_step,
     )
     if values is not None:

@@ -73,7 +73,9 @@ def report(item: str, ok: bool, detail: str) -> None:
     assert ok, f"{item}: {detail}"
 
 
-def baseline_grid(dt: float = 0.005, dx: float = 0.02, t_end: float = 1.65):
+def baseline_grid(
+    dt: float = 0.005, dx: float = 0.02, t_end: float = 1.65, epsilon: float = 1.0
+):
     return build_grid(
         GridConfig(
             dt=dt,
@@ -83,6 +85,7 @@ def baseline_grid(dt: float = 0.005, dx: float = 0.02, t_end: float = 1.65):
             t_end=t_end,
             omega_min=0.4,
             omega_max=4.0,
+            epsilon=epsilon,
         )
     )
 
@@ -125,7 +128,7 @@ def diffusion_runs():
     bulk = None
     rows = {}
     for eps, dt in [(0.2, 0.001), (0.1, 0.0005), (0.05, 0.00025)]:
-        run_grid = baseline_grid(dt=dt, t_end=0.5)
+        run_grid = baseline_grid(dt=dt, t_end=0.5, epsilon=eps)
         material = build_material(
             ground_truth_tau(), default_g_star(), run_grid.omega_nodes
         )
@@ -134,11 +137,9 @@ def diffusion_runs():
         source = gaussian_source(
             BoundarySource(t0=0.04, mu0=0.96, omega0=2.0, widths=(0.01, 0.01, 0.1))
         )
-        macro = compute_macro_trace(material, run_grid, source, epsilon=eps)
+        macro = compute_macro_trace(material, run_grid, source)
         settled, drift = settled_kappa(macro, x_probe=0.5, settle_time=0.125)
-        residual = chapman_enskog_residual(
-            to_g(macro.final_h, material), material, run_grid, epsilon=eps
-        )
+        residual = chapman_enskog_residual(to_g(macro.final_h, material), material, run_grid)
         rows[eps] = {
             "settled": settled,
             "drift": drift,
@@ -267,7 +268,7 @@ class TestDiffusionLimit:
             star_material.g_star * u[:, None, None]
             - eps * grid.mu_nodes[:, None] * shape * du[:, None, None]
         )
-        residual = chapman_enskog_residual(slice_g, star_material, grid, epsilon=eps)
+        residual = chapman_enskog_residual(slice_g, star_material, baseline_grid(epsilon=eps))
         # Central differences on the sine profile err at most
         # max|u'''| dx^2 / 6; the constructed residual must sit below it.
         gradient_error_bound = eps * (2 * np.pi) ** 3 * grid.dx**2 / 6.0

@@ -82,6 +82,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config section"):
             load_config(path)
 
+    def test_default_section_alone_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[DEFAULT]\ndt = 0.001\n")
+        with pytest.raises(ValueError, match=r"unknown config section \[DEFAULT\]"):
+            load_config(path)
+
+    def test_default_section_beside_known_section_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[DEFAULT]\nbudget = 7\n\n[optimizer]\nmethod = armijo\n")
+        with pytest.raises(ValueError, match=r"unknown config section \[DEFAULT\]"):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "[grid]\ndt_step = 0.01\n")
         with pytest.raises(ValueError, match="unknown key 'dt_step'"):

@@ -16,7 +16,6 @@ from phonon_inverse.diagnostics import (
     compute_macro_trace,
     heat_flux,
     macro_trace_from_values,
-    pointwise_kappa,
     settled_kappa,
     solve_heat_reference,
     to_g,
@@ -121,13 +120,12 @@ class TestHeatFlux:
         flux = heat_flux(values_g, material, grid)
         assert flux == pytest.approx(bulk_kappa(material, grid), rel=1e-13)
 
-    def test_epsilon_override_scales_inversely(self, grid, material):
+    def test_flux_scales_inversely_with_grid_epsilon(self, grid, material):
         rng = np.random.default_rng(5)
         values_g = rng.normal(size=(grid.n_mu, grid.n_omega))
-        base = heat_flux(values_g, material, grid, epsilon=1.0)
-        assert heat_flux(values_g, material, grid, epsilon=0.5) == pytest.approx(
-            2.0 * base, rel=1e-13
-        )
+        base = heat_flux(values_g, material, baseline_grid(t_end=0.5, epsilon=1.0))
+        half = heat_flux(values_g, material, baseline_grid(t_end=0.5, epsilon=0.5))
+        assert half == pytest.approx(2.0 * base, rel=1e-13)
 
     def test_single_slice_returns_scalar(self, grid, material):
         values_g = np.ones((grid.n_mu, grid.n_omega))
@@ -197,16 +195,6 @@ class TestMacroTrace:
             macro.kappa[defined], -macro.q[defined] / macro.dT_dx[defined]
         )
         assert np.isnan(macro.kappa[~defined]).all()
-
-    def test_pointwise_recomputation_is_identical(self, short_run, material):
-        g, traj = short_run
-        macro = macro_trace_from_values(traj.values, material, g)
-        kappa, defined = pointwise_kappa(macro)
-        np.testing.assert_array_equal(defined, macro.kappa_defined)
-        np.testing.assert_array_equal(
-            kappa[defined], macro.kappa[defined]
-        )
-        assert np.isnan(kappa[~defined]).all()
 
 
 class TestPointwiseKappa:
@@ -480,10 +468,8 @@ class TestChapmanEnskogResidual:
         ] * (material.velocity * material.tau * material.g_star) * du[
             :, None, None
         ]
-        assert (
-            chapman_enskog_residual(slice_g, material, grid, epsilon=eps)
-            < 1e-12
-        )
+        eps_grid = baseline_grid(t_end=0.5, epsilon=eps)
+        assert chapman_enskog_residual(slice_g, material, eps_grid) < 1e-12
 
     def test_constructed_sine_field_matches_gradient_error(self, grid, material):
         # For an exact first-order field the only defect is the difference
@@ -498,7 +484,8 @@ class TestChapmanEnskogResidual:
             material.g_star * u[:, None, None]
             - eps * grid.mu_nodes[:, None] * shape * du[:, None, None]
         )
-        residual = chapman_enskog_residual(slice_g, material, grid, epsilon=eps)
+        eps_grid = baseline_grid(t_end=0.5, epsilon=eps)
+        residual = chapman_enskog_residual(slice_g, material, eps_grid)
         assert residual == pytest.approx(CONSTRUCTED_RESIDUAL, rel=1e-10)
 
         gradient_error = np.gradient(u, grid.dx, edge_order=2) - du
@@ -516,14 +503,6 @@ class TestChapmanEnskogResidual:
         assert residual == pytest.approx(float(expected), rel=1e-10)
         # central-difference error scale for this profile
         assert residual < eps * (2 * np.pi) ** 3 * grid.dx**2 / 6.0
-
-    def test_explicit_epsilon_matches_grid_epsilon(self, material):
-        g = baseline_grid(dt=0.0005, t_end=0.1, epsilon=0.1)
-        rng = np.random.default_rng(9)
-        slice_g = rng.normal(size=(g.n_x, g.n_mu, g.n_omega))
-        assert chapman_enskog_residual(
-            slice_g, material, g, epsilon=0.1
-        ) == chapman_enskog_residual(slice_g, material, g)
 
     def test_regime_ordering(self, material):
         # Ballistic (epsilon = 1) snapshots are order one away from the

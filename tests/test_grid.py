@@ -1,5 +1,6 @@
 """Grid construction and the normalized bracket weights."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phonon_inverse
+from phonon_inverse import diagnostics, inverse, optimize, transport
 from phonon_inverse.collision import mean_mu_omega
 from phonon_inverse.grid import GridConfig, PhaseGrid, build_grid
 
@@ -163,3 +165,18 @@ def test_normalizations_live_in_grid_module():
         if _INLINE_NORMALIZATION.search(line)
     ]
     assert not offenders, "normalize through PhaseGrid's *_mean arrays:\n" + "\n".join(offenders)
+
+
+def test_epsilon_lives_in_grid():
+    # The Knudsen number is read from grid.epsilon only; another epsilon
+    # means another grid, never a per-call argument.
+    offenders = [
+        f"{module.__name__}.{name}"
+        for module in (transport, inverse, optimize, diagnostics)
+        for name, member in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(member) or inspect.isclass(member))
+        and member.__module__ == module.__name__
+        and "epsilon" in inspect.signature(member).parameters
+    ]
+    assert not offenders, "read epsilon from the grid:\n" + "\n".join(offenders)

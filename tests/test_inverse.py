@@ -10,6 +10,8 @@ Frozen values below were measured once from this implementation at the stated
 settings and pinned as regressions.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,14 @@ class TestAlignedDirections:
             gradient_aligned_directions(gradient, grid, count=0)
         with pytest.raises(ValueError, match="min_cos"):
             gradient_aligned_directions(gradient, grid, min_cos=1.0)
+
+    def test_unreachable_min_cos_raises_instead_of_hanging(self, grid):
+        # On the 10-node band a cosine of 0.99 is too rare to find three of;
+        # the capped draw loop gives up at once with a message.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="min_cos"):
+            gradient_aligned_directions(np.ones(grid.n_omega), grid, min_cos=0.99)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLipschitzProbe:

@@ -1,18 +1,16 @@
-"""Linear relaxation collision operators and the temperature functional.
+"""The linear relaxation collision operator and the temperature functional.
 
 Fields are plain arrays whose trailing two axes are (mu, omega); any leading
 axes (x, or t and x) pass through untouched, so the same functions serve
 single snapshots and whole trajectories.
 
-Two equivalent formulations appear throughout the solvers.  In the scaled
-variables h = g / tau the operator is
+In the scaled variables h = g / tau the operator is
 
-    relax[h] = (mean_{mu,omega} h / mean_omega h*) * h* - h,
+    relax[h] = T[h] h* - h,   T[h] = mean_{mu,omega} h / mean_omega h*,
 
-which drives h toward the equilibrium direction h* = g*/tau.  In the original
-variables the same physics reads relax_g[g] = T g* - g with the temperature
-T = mean_{mu,omega}(g/tau) / mean_omega(g*/tau).  All means are normalized
-(the mean of a constant is that constant).
+which drives h toward the equilibrium direction h* = g*/tau; T is the
+temperature functional.  All means are normalized (the mean of a constant is
+that constant).
 
 The operator conserves its own projection (mean of relax[h] vanishes on the
 quadrature that defines it), is self-adjoint and negative semidefinite in the
@@ -44,25 +42,6 @@ def mean_omega(values: FloatArray, grid: PhaseGrid) -> FloatArray | float:
     return result
 
 
-def kernel_projection(
-    field: FloatArray, material: MaterialModel, grid: PhaseGrid
-) -> FloatArray:
-    """Projection of an h-formulation field onto the equilibrium direction h*.
-
-    P[h] = (mean_{mu,omega} h / mean_omega h*) * h*.  The collision operator
-    is P - identity, so P is exactly the projector onto its kernel.
-    """
-    ratio = np.asarray(mean_mu_omega(field, grid)) / mean_omega(material.h_star, grid)
-    return ratio[..., np.newaxis, np.newaxis] * material.h_star
-
-
-def apply_collision(
-    field: FloatArray, material: MaterialModel, grid: PhaseGrid
-) -> FloatArray:
-    """Relaxation operator on an h-formulation field: P[h] - h."""
-    return kernel_projection(field, material, grid) - field
-
-
 def temperature_of(
     field: FloatArray, material: MaterialModel, grid: PhaseGrid
 ) -> FloatArray | float:
@@ -77,18 +56,12 @@ def temperature_of(
     return result
 
 
-def apply_collision_g(
+def apply_collision(
     field: FloatArray, material: MaterialModel, grid: PhaseGrid
 ) -> FloatArray:
-    """Relaxation operator in the original variables: T g* - g.
-
-    T = mean_{mu,omega}(g/tau) / mean_omega(g*/tau); equals tau * relax[g/tau]
-    pointwise, which the tests verify.
-    """
-    temperature = np.asarray(mean_mu_omega(field / material.tau, grid)) / mean_omega(
-        material.h_star, grid
-    )
-    return temperature[..., np.newaxis, np.newaxis] * material.g_star - field
+    """Relaxation operator on an h-formulation field: T[h] h* - h."""
+    temperature = np.asarray(temperature_of(field, material, grid))
+    return temperature[..., np.newaxis, np.newaxis] * material.h_star - field
 
 
 def weighted_inner(

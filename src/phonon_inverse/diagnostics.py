@@ -3,10 +3,10 @@
 From a kinetic solution this module extracts the temperature T(t, x), the
 heat flux q(t, x), the spatial temperature gradient, and the pointwise
 conductivity kappa = -q / dT_dx (Fourier's law read backwards).  It also
-provides the bulk conductivity integral the pointwise values relax to, the
-accumulation (partial-spectrum) variant, an explicit reference solver for
-the limiting heat equation, and the first-order expansion residual that
-quantifies how far a field is from the diffusive regime.
+provides the bulk conductivity integral the pointwise values relax to, an
+explicit reference solver for the limiting heat equation, and the
+first-order expansion residual that quantifies how far a field is from the
+diffusive regime.
 
 Conventions: all spectral averages are the grid module's normalized means,
 used consistently on both sides of every kinetic-vs-bulk comparison, so the
@@ -72,20 +72,24 @@ def heat_flux(
     ``values_g`` is in g-variables with trailing (mu, omega) axes; leading
     axes (t and/or x) pass through.
     """
-    weight = grid.mu_omega_mean * grid.mu_nodes[:, None] * material.velocity / grid.epsilon
-    result = np.einsum("...mo,mo->...", values_g, weight)
+    result = np.einsum("...mo,mo->...", values_g, _flux_weights(grid, material.velocity))
     if result.ndim == 0:
         return float(result)
     return result
 
 
+def _flux_weights(grid: PhaseGrid, speed: FloatArray) -> FloatArray:
+    """The (mu, omega) heat-flux weight table.
+
+    ``speed`` is v for a g-field and v tau for an h-field.
+    """
+    return grid.mu_omega_mean * grid.mu_nodes[:, None] * speed / grid.epsilon
+
+
 def _macro_moment_weights(material: MaterialModel, grid: PhaseGrid) -> FloatArray:
     """Weight tables turning streamed h-moments into (temperature, flux)."""
     temperature_w = grid.mu_omega_mean / mean_omega(material.h_star, grid)
-    flux_w = (
-        grid.mu_omega_mean * grid.mu_nodes[:, None] * (material.velocity * material.tau)
-        / grid.epsilon
-    )
+    flux_w = _flux_weights(grid, material.velocity * material.tau)
     return np.stack([temperature_w, flux_w])
 
 
@@ -189,35 +193,6 @@ def settled_kappa(
 def bulk_kappa(material: MaterialModel, grid: PhaseGrid) -> float:
     """Bulk conductivity: one third of the normalized mean of tau v^2 g*."""
     return float(grid.omega_mean @ (material.tau * material.velocity**2 * material.g_star)) / 3.0
-
-
-def accumulation_kappa(
-    material: MaterialModel, grid: PhaseGrid, omega_lo: float, omega_hi: float
-) -> float:
-    """Partial-spectrum conductivity over [omega_lo, omega_hi).
-
-    Sums the frequency channels whose nodes fall inside the window (the
-    upper edge becomes inclusive once it reaches the top of the band),
-    normalized like :func:`bulk_kappa`, so the full window reproduces the
-    bulk value and complementary windows add exactly.
-    """
-    omega = grid.omega_nodes
-    if omega_lo > omega_hi:
-        raise ValueError(f"inverted window [{omega_lo}, {omega_hi}]")
-    if omega_lo < omega[0] - 1e-12 or omega_hi > omega[-1] + 1e-12:
-        raise ValueError(
-            f"window [{omega_lo}, {omega_hi}] exceeds the frequency band "
-            f"[{omega[0]}, {omega[-1]}]"
-        )
-    if omega_hi - omega_lo <= 1e-15:
-        return 0.0
-    integrand = material.tau * material.velocity**2 * material.g_star / 3.0
-    if omega_hi >= omega[-1] - 1e-12:
-        upper = omega <= omega_hi + 1e-12
-    else:
-        upper = omega < omega_hi - 1e-12
-    inside = (omega >= omega_lo - 1e-12) & upper
-    return float(np.sum(grid.omega_mean[inside] * integrand[inside]))
 
 
 def solve_heat_reference(

@@ -249,8 +249,9 @@ class _InteriorSums:
         h = self.h_values[n]
         n_omega = h.shape[-1]
         h_mean = mean_mu_omega(h, self.grid)
-        # relax[h] * p, with relax[h] = (mean h / mean_omega h*) h* - h as in
-        # collision.apply_collision, built in place in a reused buffer.
+        # relax[h] * p, with relax[h] = T[h] h* - h, built in place in a
+        # reused buffer; the division of T by mean_omega h* is folded into
+        # the scaled h* table.
         product = self.product
         np.einsum("x,mo->xmo", h_mean, self.scaled_h_star, out=product)
         product -= h
@@ -436,41 +437,3 @@ def gradient_aligned_directions(
         f"in {_MAX_DIRECTION_DRAWS} draws; lower min_cos"
     )
 
-
-def lipschitz_probe(
-    material: MaterialModel,
-    grid: PhaseGrid,
-    pair: SourceTestPair,
-    trials: int = 10,
-    perturbation_scale: float = 1e-2,
-    seed: int = 0,
-) -> tuple[float, FloatArray]:
-    """Gradient-increment ratios under random tau-perturbations.
-
-    Draws Gaussian nodal perturbations of the given scale and returns the
-    largest (and all) ratios ||grad(tau + d) - grad(tau)|| / ||d|| in the
-    frequency-grid norm.  Draws that leave the tau bounds are skipped; a
-    zero draw would make the ratio undefined and is skipped likewise.
-    """
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng(seed)
-    base = frechet_gradient(material, grid, pair)
-    ratios = []
-    for _ in range(trials):
-        tilde = perturbation_scale * rng.standard_normal(material.tau.size)
-        size = omega_norm(tilde, grid)
-        if size == 0.0:
-            continue
-        try:
-            perturbed_material = material.with_tau(material.tau + tilde)
-        except ValueError:
-            continue
-        shifted = frechet_gradient(perturbed_material, grid, pair)
-        ratios.append(omega_norm(shifted - base, grid) / size)
-    if not ratios:
-        raise ValueError(
-            "no valid perturbation draws: every trial left the tau bounds or was zero"
-        )
-    ratios = np.array(ratios)
-    return float(ratios.max()), ratios

@@ -2,8 +2,7 @@
 
 Holds the relaxation time tau(omega), the group speed v(omega), the linearized
 equilibrium weight g*(omega), and the derived h*(omega) = g*(omega)/tau(omega).
-Profiles are small closed-form families plus a tabulated variant, so that a
-reconstruction written to disk can be fed back in unchanged.
+Profiles are small closed-form families selected by kind.
 """
 
 from __future__ import annotations
@@ -27,20 +26,16 @@ DEFAULT_VELOCITY_COEFFS = (2.5, -0.2)
 
 @dataclass(frozen=True)
 class TauProfile:
-    """A relaxation-time profile: closed form or tabulated.
+    """A closed-form relaxation-time profile.
 
     kinds:
       - "ground_truth": 1/sqrt(5 omega) + 1
       - "initial_guess": -0.15 (omega - 4) + 1.4
-      - "linear": params (intercept, slope) for intercept + slope * omega
       - "constant": params (value,)
-      - "table": (omega, value) pairs, evaluated by linear interpolation
     """
 
     kind: str
     params: tuple[float, ...] = ()
-    table_omega: FloatArray | None = None
-    table_value: FloatArray | None = None
 
 
 def ground_truth_tau() -> TauProfile:
@@ -55,18 +50,6 @@ def constant_tau(value: float) -> TauProfile:
     return TauProfile(kind="constant", params=(float(value),))
 
 
-def tabulated_tau(omega: FloatArray, value: FloatArray) -> TauProfile:
-    omega = np.asarray(omega, dtype=float)
-    value = np.asarray(value, dtype=float)
-    if omega.shape != value.shape or omega.ndim != 1:
-        raise ValueError(
-            f"table must be two equal-length 1-D columns, got {omega.shape} and {value.shape}"
-        )
-    if np.any(np.diff(omega) <= 0):
-        raise ValueError("table omega column must be strictly increasing")
-    return TauProfile(kind="table", table_omega=omega, table_value=value)
-
-
 def eval_tau(profile: TauProfile, omega_nodes: FloatArray) -> FloatArray:
     """Evaluate a relaxation-time profile on the given frequency nodes.
 
@@ -77,18 +60,8 @@ def eval_tau(profile: TauProfile, omega_nodes: FloatArray) -> FloatArray:
         values = 1.0 / np.sqrt(5.0 * omega) + 1.0
     elif profile.kind == "initial_guess":
         values = -0.15 * (omega - 4.0) + 1.4
-    elif profile.kind == "linear":
-        intercept, slope = profile.params
-        values = intercept + slope * omega
     elif profile.kind == "constant":
         values = np.full_like(omega, profile.params[0])
-    elif profile.kind == "table":
-        if omega.min() < profile.table_omega[0] - 1e-12 or omega.max() > profile.table_omega[-1] + 1e-12:
-            raise ValueError(
-                f"omega nodes [{omega.min()}, {omega.max()}] fall outside the tabulated "
-                f"range [{profile.table_omega[0]}, {profile.table_omega[-1]}]"
-            )
-        values = np.interp(omega, profile.table_omega, profile.table_value)
     else:
         raise ValueError(f"unknown tau profile kind {profile.kind!r}")
     bad = np.flatnonzero(values <= 0.0)
@@ -125,13 +98,10 @@ class GStarProfile:
         Bose-Einstein occupation against temperature, times a quadratic
         density of states, in dimensionless form)
       - "constant": params (value,)
-      - "table": (omega, value) pairs, linear interpolation
     """
 
     kind: str = "bose_einstein"
     params: tuple[float, ...] = ()
-    table_omega: FloatArray | None = None
-    table_value: FloatArray | None = None
 
 
 def default_g_star() -> GStarProfile:
@@ -142,16 +112,6 @@ def constant_g_star(value: float) -> GStarProfile:
     return GStarProfile(kind="constant", params=(float(value),))
 
 
-def tabulated_g_star(omega: FloatArray, value: FloatArray) -> GStarProfile:
-    omega = np.asarray(omega, dtype=float)
-    value = np.asarray(value, dtype=float)
-    if omega.shape != value.shape or omega.ndim != 1:
-        raise ValueError(
-            f"table must be two equal-length 1-D columns, got {omega.shape} and {value.shape}"
-        )
-    return GStarProfile(kind="table", table_omega=omega, table_value=value)
-
-
 def eval_g_star(profile: GStarProfile, omega_nodes: FloatArray) -> FloatArray:
     omega = np.asarray(omega_nodes, dtype=float)
     if profile.kind == "bose_einstein":
@@ -159,8 +119,6 @@ def eval_g_star(profile: GStarProfile, omega_nodes: FloatArray) -> FloatArray:
         values = values / values.max()
     elif profile.kind == "constant":
         values = np.full_like(omega, profile.params[0])
-    elif profile.kind == "table":
-        values = np.interp(omega, profile.table_omega, profile.table_value)
     else:
         raise ValueError(f"unknown g* profile kind {profile.kind!r}")
     bad = np.flatnonzero(values <= 0.0)

@@ -65,7 +65,8 @@ class OptimizerState:
 
     The generator object carries the stream position, so resuming from a
     state continues the same sample sequence.  ``adagrad_matrix`` is the
-    running sum of gradient outer products (None under the line-search rule).
+    running sum of gradient outer products; it is None until the first
+    adaptive step and stays None under the line-search rule.
     """
 
     tau: FloatArray
@@ -127,7 +128,6 @@ def initial_state(
     seed: int = 0,
     objective=None,
     reference_tau: FloatArray | None = None,
-    track_adagrad: bool = False,
     track_total_loss: bool = True,
 ) -> OptimizerState:
     """A fresh state at tau0, with the iteration-0 history row filled in."""
@@ -144,13 +144,11 @@ def initial_state(
         error=_error_against(tau0, reference_tau),
         gradient_norm=math.nan,
     )
-    matrix = np.zeros((tau0.size, tau0.size)) if track_adagrad else None
     return OptimizerState(
         tau=tau0,
         iteration=0,
         rng=np.random.default_rng(seed),
         history=(row,),
-        adagrad_matrix=matrix,
     )
 
 
@@ -340,7 +338,6 @@ def run_sgd(
         seed=seed,
         objective=objective,
         reference_tau=reference_tau,
-        track_adagrad=(method == "adagrad"),
         track_total_loss=track_total_loss,
     )
     snapshots: dict[int, FloatArray] = {}
@@ -421,24 +418,14 @@ def min_pairwise_cosine(cosines: FloatArray) -> float:
 def recombine_gradients(
     gradients: Sequence[FloatArray],
     rng_seed: int = 0,
-    matrix: FloatArray | None = None,
 ) -> FloatArray:
     """Random positive mixtures of a gradient bundle.
 
     Stacks the gradients as columns G and returns the columns of G A (as
     rows, matching the input layout) with A drawn entrywise uniform on
-    (0, 1).  Pass ``matrix`` to fix A: the identity returns the bundle
-    unchanged, the all-ones matrix makes every output the same sum.
+    (0, 1).
     """
     stack = np.atleast_2d(np.asarray(gradients, dtype=float))
     n = stack.shape[0]
-    if matrix is None:
-        matrix = np.random.default_rng(rng_seed).uniform(size=(n, n))
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (n, n):
-            raise ValueError(
-                f"mixing matrix shape {matrix.shape} does not match the "
-                f"{n}-gradient bundle"
-            )
+    matrix = np.random.default_rng(rng_seed).uniform(size=(n, n))
     return (stack.T @ matrix).T

@@ -75,13 +75,13 @@ def gaussian_source(params: BoundarySource) -> SourceFunction:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solution stack over the time nodes, plus the two boundary traces.
+    """Solution stack over the time nodes, plus the x = 0 boundary trace.
 
     ``values`` has shape (n_t, n_x, n_mu, n_omega); it is None when the solve
-    was asked to keep only the traces.  ``left_trace`` and ``right_trace``
-    are the x = 0 and x = 1 slices, shape (n_t, n_mu, n_omega).  The first
-    time slice is the initial condition exactly (no boundary overwrite is
-    applied at the starting instant).
+    was asked to keep only the trace.  ``left_trace`` is the x = 0 slice,
+    shape (n_t, n_mu, n_omega).  The first time slice is the initial
+    condition exactly (no boundary overwrite is applied at the starting
+    instant).
 
     ``moments`` holds streamed (mu, omega)-weighted reductions of the field,
     shape (n_t, n_x, K) for K requested weight tables — the memory-friendly
@@ -92,7 +92,6 @@ class Trajectory:
 
     values: FloatArray | None
     left_trace: FloatArray
-    right_trace: FloatArray
     moments: FloatArray | None = None
     snapshots: FloatArray | None = None
     snapshot_times: tuple[float, ...] | None = None
@@ -149,16 +148,17 @@ def _integrate(
     moment_weights: FloatArray | None = None,
     snapshot_steps: Sequence[int] = (),
     on_step: Callable[[int, FloatArray], None] | None = None,
-) -> tuple[FloatArray | None, FloatArray, FloatArray, FloatArray | None, FloatArray | None]:
+) -> tuple[FloatArray | None, FloatArray, FloatArray | None, FloatArray | None]:
     """March the forward-form system for one source from a zero state.
 
     ``inflow`` holds the x = 0 boundary values for the mu > 0 rows, shape
     (n_t, n_mu/2, n_omega); slice n is written after the step that lands on
     t_nodes[n].  ``moment_weights`` (K, n_mu, n_omega) requests streamed
     per-step reductions; ``snapshot_steps`` requests full state copies at
-    those step indices; ``on_step(n, state)``, if given, sees each new state,
-    which is only valid during the call.  Returns (trajectory or None, left
-    trace, right trace, moments or None, snapshots or None).
+    those step indices (a step may be asked for more than once);
+    ``on_step(n, state)``, if given, sees each new state, which is only valid
+    during the call.  Returns (trajectory or None, left trace, moments or
+    None, snapshots or None).
     """
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
@@ -183,12 +183,13 @@ def _integrate(
         trajectory = None
         scratch = [np.zeros(state_shape), np.empty(state_shape)]
         left = np.zeros((n_t, n_mu, n_omega))
-        right = np.zeros((n_t, n_mu, n_omega))
 
     moments = None
     if moment_weights is not None:
         moments = np.zeros((n_t, n_x, moment_weights.shape[0]))
-    snapshot_index = {int(step): j for j, step in enumerate(snapshot_steps)}
+    snapshot_slots: dict[int, list[int]] = {}
+    for j, step in enumerate(snapshot_steps):
+        snapshot_slots.setdefault(int(step), []).append(j)
     snapshots = (
         np.zeros((len(snapshot_steps), *state_shape)) if snapshot_steps else None
     )
@@ -226,20 +227,18 @@ def _integrate(
             )
         if not store_trajectory:
             left[n] = new[0]
-            right[n] = new[-1]
         if moments is not None:
             moments[n] = np.einsum("xmo,kmo->xk", new, moment_weights)
-        if n in snapshot_index:
-            snapshots[snapshot_index[n]] = new
+        for j in snapshot_slots.get(n, ()):
+            snapshots[j] = new
         if on_step is not None:
             on_step(n, new)
         state = new
 
     if store_trajectory:
         left = trajectory[:, 0].copy()
-        right = trajectory[:, -1].copy()
     logger.debug("%s solve: %d steps, epsilon=%g", label, n_t - 1, epsilon)
-    return trajectory, left, right, moments, snapshots
+    return trajectory, left, moments, snapshots
 
 
 def _snapshot_steps(grid: PhaseGrid, snapshot_times: Sequence[float]) -> list[int]:
@@ -267,7 +266,7 @@ def solve_forward(
 
     ``source`` is either a :class:`BoundarySource` or any callable
     phi(t, mu, omega); the inflow rows are set to phi/tau.  With
-    ``store_trajectory=False`` only the boundary traces are kept, which is
+    ``store_trajectory=False`` only the x = 0 trace is kept, which is
     enough to evaluate measurements and much cheaper in memory; streamed
     ``moment_weights`` reductions and full-state ``snapshot_times`` copies
     cover the diagnostic uses that would otherwise need the whole stack.
@@ -275,14 +274,13 @@ def solve_forward(
     _validate_stability(material, grid)
     inflow = _inflow_table(source, material, grid)
     steps = _snapshot_steps(grid, snapshot_times)
-    values, left, right, moments, snapshots = _integrate(
+    values, left, moments, snapshots = _integrate(
         material, grid, inflow, store_trajectory, label="forward",
         moment_weights=moment_weights, snapshot_steps=steps,
     )
     return Trajectory(
         values=values,
         left_trace=left,
-        right_trace=right,
         moments=moments,
         snapshots=snapshots,
         snapshot_times=tuple(float(grid.t_nodes[n]) for n in steps) or None,
@@ -314,7 +312,7 @@ def solve_adjoint(
     material: MaterialModel,
     grid: PhaseGrid,
     mismatch_value: float,
-    test_window: Callable[[FloatArray], FloatArray] | FloatArray,
+    test_window: FloatArray,
     store_trajectory: bool = True,
     on_step: Callable[[int, FloatArray], None] | None = None,
 ) -> Trajectory:
@@ -332,7 +330,7 @@ def solve_adjoint(
     returned trajectory is re-indexed to forward time and the original mu
     ordering, so ``values[n]`` is p at t_nodes[n].
 
-    ``test_window`` is a callable on t or an array over the time nodes;
+    ``test_window`` holds the readout window's values on the time nodes;
     ``mismatch_value`` is the scalar measurement residual it multiplies.
     ``on_step(n, p)``, if given, is called with p at t_nodes[n], shape
     (n_x, n_mu, n_omega), for n from n_t - 2 down to 0 as the backward march
@@ -340,10 +338,7 @@ def solve_adjoint(
     without keeping it.
     """
     _validate_stability(material, grid)
-    if callable(test_window):
-        window = np.asarray(test_window(grid.t_nodes), dtype=float)
-    else:
-        window = np.asarray(test_window, dtype=float)
+    window = np.asarray(test_window, dtype=float)
     if window.shape != grid.t_nodes.shape:
         raise ValueError(
             f"test window must have one value per time node ({grid.n_t}), "
@@ -369,12 +364,11 @@ def solve_adjoint(
     reversed_step = None if on_step is None else (
         lambda s, state: on_step(last - s, state[:, ::-1, :].copy())
     )
-    values, left, right, _, _ = _integrate(
+    values, left, _, _ = _integrate(
         material, grid, inflow, store_trajectory, label="adjoint",
         on_step=reversed_step,
     )
     if values is not None:
         values = values[::-1, :, ::-1, :].copy()
     left = left[::-1, ::-1, :].copy()
-    right = right[::-1, ::-1, :].copy()
-    return Trajectory(values=values, left_trace=left, right_trace=right)
+    return Trajectory(values=values, left_trace=left)

@@ -241,6 +241,28 @@ omega_slice = 0.1, 0.5, 0.9
         rc = main(["forward", "--config", str(config_path), "--out", str(out)])
         assert rc == 1
 
+    def test_repeated_snapshot_time_slices_the_state(self, tmp_path):
+        # Every slot of a repeated snapshot time holds that node's state, so
+        # the slice matches a run that asks for the time once.
+        slices = []
+        for times in ("0.1, 0.2", "0.1, 0.2, 0.2"):
+            config_path = write_config(tmp_path, f"""
+[grid]
+dt = 0.01
+dx = 0.05
+t_end = 0.2
+
+[forward]
+snapshot_times = {times}
+omega_slice = 0.2, 0.2, 0.96
+""")
+            out = tmp_path / f"out{len(slices)}"
+            assert main(["forward", "--config", str(config_path), "--out", str(out)]) == 0
+            _, rows = read_csv(out / "omega_slice.csv")
+            slices.append(np.array([[float(v) for v in row] for row in rows]))
+        assert np.abs(slices[0][:, 1]).max() > 0.0
+        np.testing.assert_array_equal(slices[1], slices[0])
+
     def test_error_line_on_stderr(self, tmp_path, capsys):
         config_path = write_config(tmp_path, "[grid]\ndt = -1\n")
         rc = main(["forward", "--config", str(config_path), "--out", str(tmp_path / "o")])

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from phonon_inverse.collision import (
     apply_collision,
-    apply_collision_g,
-    kernel_projection,
     mean_mu_omega,
     mean_omega,
     temperature_of,
@@ -41,6 +39,12 @@ def material(grid):
 
 def random_field(grid, rng, leading=()):
     return rng.standard_normal((*leading, grid.n_mu, grid.n_omega))
+
+
+def kernel_component(field, material, grid):
+    """The span{h*} part T[h] h* of a field; relax[h] removes the rest."""
+    temperature = np.asarray(temperature_of(field, material, grid))
+    return temperature[..., np.newaxis, np.newaxis] * material.h_star
 
 
 def two_node_setup():
@@ -107,7 +111,7 @@ class TestApplyCollision:
     def test_acts_as_minus_identity_off_kernel(self, grid, material):
         rng = np.random.default_rng(5)
         a = random_field(grid, rng)
-        off_kernel = a - kernel_projection(a, material, grid)
+        off_kernel = a - kernel_component(a, material, grid)
         out = apply_collision(off_kernel, material, grid)
         np.testing.assert_allclose(out, -off_kernel, rtol=1e-12, atol=1e-13)
 
@@ -117,7 +121,7 @@ class TestApplyCollision:
         a = random_field(grid, rng)
         la = apply_collision(a, material, grid)
         combo = apply_collision(la, material, grid) + la
-        residual = combo - kernel_projection(combo, material, grid)
+        residual = combo - kernel_component(combo, material, grid)
         np.testing.assert_allclose(residual, 0.0, atol=1e-13)
 
     @settings(max_examples=25, deadline=None)
@@ -142,30 +146,6 @@ class TestApplyCollision:
             b, material, grid
         )
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-class TestApplyCollisionG:
-    def test_equilibrium_annihilated(self, grid, material):
-        g = 2.25 * np.broadcast_to(material.g_star, (grid.n_mu, grid.n_omega))
-        out = apply_collision_g(g, material, grid)
-        np.testing.assert_allclose(out, 0.0, atol=1e-14)
-
-    def test_energy_conservation(self, grid, material):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            g = random_field(grid, rng)
-            out = apply_collision_g(g, material, grid)
-            scale = mean_mu_omega(np.abs(g / material.tau), grid)
-            assert abs(mean_mu_omega(out / material.tau, grid)) <= 1e-12 * scale
-
-    def test_matches_h_formulation(self, grid, material):
-        # tau * relax[g/tau] reproduces relax_g[g].
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            g = random_field(grid, rng)
-            via_h = material.tau * apply_collision(g / material.tau, material, grid)
-            direct = apply_collision_g(g, material, grid)
-            np.testing.assert_allclose(via_h, direct, rtol=1e-12, atol=1e-13)
 
 
 class TestTemperatureOf:

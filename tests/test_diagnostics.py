@@ -10,7 +10,6 @@ from phonon_inverse.collision import temperature_of
 from phonon_inverse.diagnostics import (
     _CSV_BLOCK_ROWS,
     MacroTrace,
-    accumulation_kappa,
     bulk_kappa,
     chapman_enskog_residual,
     compute_macro_trace,
@@ -278,40 +277,6 @@ class TestBulkAndAccumulation:
         assert bulk_kappa(doubled, grid) == pytest.approx(
             2.0 * bulk_kappa(material, grid), rel=1e-14
         )
-
-    def test_full_window_recovers_bulk(self, grid, material):
-        full = accumulation_kappa(
-            material, grid, grid.omega_nodes[0], grid.omega_nodes[-1]
-        )
-        assert full == pytest.approx(bulk_kappa(material, grid), rel=1e-13)
-
-    def test_empty_window_is_zero(self, grid, material):
-        assert accumulation_kappa(material, grid, 2.0, 2.0) == 0.0
-
-    def test_disjoint_windows_add(self, grid, material):
-        # Half-open channel membership makes complementary windows exactly
-        # additive wherever the split lands, on a node or between nodes.
-        for split in (1.7, 2.0):
-            left = accumulation_kappa(material, grid, 0.4, split)
-            right = accumulation_kappa(material, grid, split, 4.0)
-            assert left + right == pytest.approx(
-                bulk_kappa(material, grid), rel=1e-12
-            )
-
-    def test_monotone_in_upper_edge(self, grid, material):
-        edges = np.linspace(0.4, 4.0, 19)
-        values = [
-            accumulation_kappa(material, grid, 0.4, hi) for hi in edges
-        ]
-        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_windows(self, grid, material):
-        with pytest.raises(ValueError, match="inverted"):
-            accumulation_kappa(material, grid, 3.0, 2.0)
-        with pytest.raises(ValueError, match="exceeds"):
-            accumulation_kappa(material, grid, 0.0, 4.0)
-        with pytest.raises(ValueError, match="exceeds"):
-            accumulation_kappa(material, grid, 0.4, 4.5)
 
 
 def heat_grid(**overrides):

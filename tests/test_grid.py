@@ -1,5 +1,6 @@
 """Grid construction and the normalized bracket weights."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -180,3 +181,42 @@ def test_epsilon_lives_in_grid():
         and "epsilon" in inspect.signature(member).parameters
     ]
     assert not offenders, "read epsilon from the grid:\n" + "\n".join(offenders)
+
+
+# Exports that no module, demo or benchmark script reads, each kept for the
+# reason given.
+_UNCALLED_EXPORTS_KEPT = {
+    "weighted_inner": "acceptance item 01 checks the collision symmetry in this product",
+    "heat_flux": "the tests check the streamed flux moment against it",
+    "macro_trace_from_values": "the tests check compute_macro_trace against it",
+    "solve_heat_reference": "the tests check the diffusion limit against it",
+}
+
+
+def _referenced_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # Public API with no caller in the package, the demos or the benchmark
+    # scripts goes, unless it is on the allowlist above.
+    package = Path(phonon_inverse.__file__).resolve().parent
+    root = package.parent.parent
+    callers = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    callers += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    referenced = set().union(*(_referenced_names(path) for path in callers))
+    uncalled = sorted(
+        name for name in phonon_inverse.__all__
+        if name not in referenced and name not in _UNCALLED_EXPORTS_KEPT
+    )
+    assert not uncalled, "exports with no caller:\n" + "\n".join(uncalled)

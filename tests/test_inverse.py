@@ -28,7 +28,6 @@ from phonon_inverse.inverse import (
     frequency_sweep_pairs,
     generate_data,
     gradient_aligned_directions,
-    lipschitz_probe,
     loss,
     loss_and_gradient,
     omega_inner,
@@ -418,42 +417,3 @@ class TestAlignedDirections:
             gradient_aligned_directions(np.ones(grid.n_omega), grid, min_cos=0.99)
         assert time.perf_counter() - start < 1.0
 
-
-class TestLipschitzProbe:
-    def test_ratios_stable_under_scale_halving(self, short_grid, short_pair):
-        guess = build_material(initial_guess_tau(), default_g_star(), short_grid.omega_nodes)
-        coarse, _ = lipschitz_probe(
-            guess, short_grid, short_pair, trials=6, perturbation_scale=2e-2, seed=7
-        )
-        fine, _ = lipschitz_probe(
-            guess, short_grid, short_pair, trials=6, perturbation_scale=1e-2, seed=7
-        )
-        assert 0.5 <= coarse / fine <= 2.0
-
-    def test_deterministic(self, short_grid, short_pair):
-        guess = build_material(initial_guess_tau(), default_g_star(), short_grid.omega_nodes)
-        first = lipschitz_probe(guess, short_grid, short_pair, trials=4, seed=11)
-        second = lipschitz_probe(guess, short_grid, short_pair, trials=4, seed=11)
-        assert first[0] == second[0]
-        np.testing.assert_array_equal(first[1], second[1])
-
-    def test_out_of_bounds_draws_skipped(self, short_grid, short_pair):
-        near_floor = build_material(
-            constant_tau(0.2), default_g_star(), short_grid.omega_nodes
-        )
-        top, ratios = lipschitz_probe(
-            near_floor, short_grid, short_pair,
-            trials=6, perturbation_scale=0.05, seed=3,
-        )
-        assert len(ratios) < 6
-        assert np.isfinite(top)
-
-    def test_zero_scale_has_no_valid_draws(self, short_grid, short_pair):
-        guess = build_material(initial_guess_tau(), default_g_star(), short_grid.omega_nodes)
-        with pytest.raises(ValueError, match="valid"):
-            lipschitz_probe(guess, short_grid, short_pair, trials=3, perturbation_scale=0.0)
-
-    def test_rejects_nonpositive_trials(self, short_grid, short_pair):
-        guess = build_material(initial_guess_tau(), default_g_star(), short_grid.omega_nodes)
-        with pytest.raises(ValueError, match="trials"):
-            lipschitz_probe(guess, short_grid, short_pair, trials=0)

@@ -17,8 +17,6 @@ from phonon_inverse.material import (
     eval_velocity,
     ground_truth_tau,
     initial_guess_tau,
-    tabulated_g_star,
-    tabulated_tau,
 )
 
 OMEGA_NODES = np.arange(10) * 0.4 + 0.4  # 0.4, 0.8, ..., 4.0
@@ -61,32 +59,10 @@ class TestEvalTau:
         values = eval_tau(constant_tau(2.5), OMEGA_NODES)
         np.testing.assert_array_equal(values, 2.5)
 
-    def test_linear_kind(self):
-        values = eval_tau(TauProfile(kind="linear", params=(1.0, 0.25)), OMEGA_NODES)
-        np.testing.assert_allclose(values, 1.0 + 0.25 * OMEGA_NODES, rtol=1e-15)
-
     def test_nonpositive_rejected_with_node(self):
-        profile = TauProfile(kind="linear", params=(0.5, -0.2))  # crosses 0 at omega=2.5
-        with pytest.raises(ValueError, match="2.8"):
-            eval_tau(profile, OMEGA_NODES)
-
-    def test_table_round_trips_exactly(self):
-        values = eval_tau(ground_truth_tau(), OMEGA_NODES)
-        profile = tabulated_tau(OMEGA_NODES, values)
-        np.testing.assert_array_equal(eval_tau(profile, OMEGA_NODES), values)
-
-    def test_table_interpolates_between_nodes(self):
-        profile = tabulated_tau(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
-        assert eval_tau(profile, np.array([0.5]))[0] == pytest.approx(2.0, rel=1e-15)
-
-    def test_table_rejects_out_of_range(self):
-        profile = tabulated_tau(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="outside"):
-            eval_tau(profile, OMEGA_NODES)
-
-    def test_table_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="increasing"):
-            tabulated_tau(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
+        # The initial guess crosses 0 at omega = 4 + 1.4 / 0.15 = 13.33.
+        with pytest.raises(ValueError, match="omega = 14"):
+            eval_tau(initial_guess_tau(), np.array([10.0, 14.0, 15.0]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -121,10 +97,6 @@ class TestEvalGStar:
     def test_constant(self):
         values = eval_g_star(constant_g_star(0.5), OMEGA_NODES)
         np.testing.assert_array_equal(values, 0.5)
-
-    def test_table_round_trip(self):
-        profile = tabulated_g_star(OMEGA_NODES, G_STAR_TABLE)
-        np.testing.assert_array_equal(eval_g_star(profile, OMEGA_NODES), G_STAR_TABLE)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="nonpositive"):

@@ -82,10 +82,10 @@ class NonfiniteGradientObjective(QuadraticObjective):
         return value, gradient + np.inf
 
 
-def fresh_state(tau0, seed=0, objective=None, reference=None, track_adagrad=False):
+def fresh_state(tau0, seed=0, objective=None, reference=None):
     return initial_state(
         np.asarray(tau0, dtype=float), seed=seed, objective=objective,
-        reference_tau=reference, track_adagrad=track_adagrad,
+        reference_tau=reference,
     )
 
 
@@ -155,7 +155,7 @@ class TestAdagradStep:
         tau0 = np.zeros(3)
         alpha, delta = 0.5, 1e-8
         state = sgd_step_adagrad(
-            fresh_state(tau0, objective=objective, track_adagrad=True),
+            fresh_state(tau0, objective=objective),
             objective, alpha=alpha, delta=delta,
         )
         gradient = tau0 - anchor
@@ -168,8 +168,7 @@ class TestAdagradStep:
     def test_accumulation_matrix_eigenvalues_nondecreasing(self):
         rng = np.random.default_rng(4)
         objective = QuadraticObjective(rng.standard_normal((4, 3)))
-        state = fresh_state(rng.standard_normal(3), seed=2, objective=objective,
-                            track_adagrad=True)
+        state = fresh_state(rng.standard_normal(3), seed=2, objective=objective)
         previous = np.zeros(3)
         for _ in range(5):
             state = sgd_step_adagrad(state, objective, alpha=0.3, delta=1e-8)
@@ -181,7 +180,7 @@ class TestAdagradStep:
     def test_zero_gradient_leaves_matrix_and_iterate(self):
         tau0 = np.array([1.0, -1.0])
         objective = QuadraticObjective([tau0])
-        before = fresh_state(tau0, objective=objective, track_adagrad=True)
+        before = fresh_state(tau0, objective=objective)
         state = sgd_step_adagrad(before, objective)
         np.testing.assert_array_equal(state.tau, tau0)
         np.testing.assert_array_equal(state.adagrad_matrix, np.zeros((2, 2)))
@@ -407,19 +406,6 @@ class TestGradientGeometry:
 
 
 class TestRecombination:
-    def test_identity_matrix_returns_bundle(self):
-        rng = np.random.default_rng(2)
-        bundle = rng.standard_normal((4, 7))
-        mixed = recombine_gradients(bundle, matrix=np.eye(4))
-        np.testing.assert_array_equal(mixed, bundle)
-
-    def test_all_ones_matrix_sums_bundle(self):
-        rng = np.random.default_rng(3)
-        bundle = rng.standard_normal((3, 5))
-        mixed = recombine_gradients(bundle, matrix=np.ones((3, 3)))
-        for row in mixed:
-            np.testing.assert_allclose(row, bundle.sum(axis=0), rtol=1e-14)
-
     def test_seeded_and_deterministic(self):
         bundle = np.eye(3)
         first = recombine_gradients(bundle, rng_seed=12)
@@ -433,7 +419,3 @@ class TestRecombination:
         # Each output row holds one mixing column of A; uniform(0, 1) draws
         # are strictly positive.
         assert np.all(mixed > 0.0)
-
-    def test_rejects_wrong_matrix_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            recombine_gradients(np.eye(3), matrix=np.eye(4))

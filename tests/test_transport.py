@@ -120,15 +120,23 @@ class TestSolveForward:
         np.testing.assert_array_equal(
             beam_trajectory.left_trace, beam_trajectory.values[:, 0]
         )
-        np.testing.assert_array_equal(
-            beam_trajectory.right_trace, beam_trajectory.values[:, -1]
-        )
 
     def test_traces_only_solve_matches_full(self, grid, material, beam_trajectory):
         lean = solve_forward(material, grid, BEAM, store_trajectory=False)
         assert lean.values is None
         np.testing.assert_array_equal(lean.left_trace, beam_trajectory.left_trace)
-        np.testing.assert_array_equal(lean.right_trace, beam_trajectory.right_trace)
+
+    def test_snapshots_fill_every_requested_slot(self, grid, material, beam_trajectory):
+        # 0.2004 rounds to the same node as 0.2, so three slots share node 40.
+        lean = solve_forward(
+            material, grid, BEAM, store_trajectory=False,
+            snapshot_times=(0.2, 0.1, 0.2, 0.2004),
+        )
+        nodes = [40, 20, 40, 40]
+        assert lean.snapshot_times == tuple(float(grid.t_nodes[n]) for n in nodes)
+        assert np.abs(lean.snapshots[0]).max() > 0.0
+        for slot, n in zip(lean.snapshots, nodes):
+            np.testing.assert_array_equal(slot, beam_trajectory.values[n])
 
     def test_batch_matches_single_solves(self, material):
         grid = baseline_grid(t_end=0.5, n_mu=16)
@@ -155,7 +163,7 @@ class TestSolveForward:
         # trace must be *bitwise* zero until the inflow has had n_x - 1 steps
         # to cross the slab.
         n_cross = grid.n_x - 1
-        assert np.all(beam_trajectory.right_trace[: n_cross + 1] == 0.0)
+        assert np.all(beam_trajectory.values[: n_cross + 1, -1] == 0.0)
 
     def test_causality_front_amplitude(self, grid, beam_trajectory):
         # The continuous front arrives at x=1 at t0 + 1/(mu0 v(omega0)) ~ 0.536;
@@ -164,18 +172,17 @@ class TestSolveForward:
         # global solution scale.
         scale = np.abs(beam_trajectory.values).max()
         early = grid.t_nodes <= 0.30
-        assert np.abs(beam_trajectory.right_trace[early]).max() <= 1e-9 * scale
+        assert np.abs(beam_trajectory.values[early, -1]).max() <= 1e-9 * scale
 
     def test_reflection_conserves_flux(self, grid, material, beam_trajectory):
         half = grid.n_mu // 2
         w, mu = grid.mu_weights, grid.mu_nodes
+        right = beam_trajectory.values[:, -1]
         incoming = np.einsum(
-            "tmo,m,m,o->t",
-            beam_trajectory.right_trace[:, half:], w[half:], mu[half:], material.velocity,
+            "tmo,m,m,o->t", right[:, half:], w[half:], mu[half:], material.velocity,
         )
         outgoing = np.einsum(
-            "tmo,m,m,o->t",
-            beam_trajectory.right_trace[:, :half], w[:half], mu[:half], material.velocity,
+            "tmo,m,m,o->t", right[:, :half], w[:half], mu[:half], material.velocity,
         )
         assert np.abs(incoming + outgoing).max() <= 1e-10 * np.abs(incoming).max()
 
@@ -264,20 +271,20 @@ class TestSolveForward:
 
 class TestSolveAdjoint:
     @staticmethod
-    def window(center=1.0, width=0.08):
-        return lambda t: gaussian_bump(np.asarray(t) - center, width)
+    def window(grid, center=1.0, width=0.08):
+        return gaussian_bump(grid.t_nodes - center, width)
 
     def test_zero_mismatch_gives_zero_field(self, grid, material):
-        traj = solve_adjoint(material, grid, 0.0, self.window())
+        traj = solve_adjoint(material, grid, 0.0, self.window(grid))
         assert np.all(traj.values == 0.0)
 
     def test_terminal_slice_is_zero_exactly(self, grid, material):
-        traj = solve_adjoint(material, grid, 2.5, self.window())
+        traj = solve_adjoint(material, grid, 2.5, self.window(grid))
         assert np.all(traj.values[-1] == 0.0)
 
     def test_boundary_rows_match_prescription(self, grid, material):
         mismatch = 1.5
-        win = self.window()
+        win = self.window(grid)
         traj = solve_adjoint(material, grid, mismatch, win)
         half = grid.n_mu // 2
         mu_neg = grid.mu_nodes[:half]
@@ -287,7 +294,7 @@ class TestSolveAdjoint:
             grid.epsilon
             * mismatch
             * material.h_star
-            * win(grid.t_nodes[n])
+            * win[n]
             / (mu_neg[:, None] * material.velocity * material.tau * h_star_mean)
         )
         np.testing.assert_allclose(
@@ -295,7 +302,7 @@ class TestSolveAdjoint:
         )
 
     def test_reflection_symmetry_at_right_wall(self, grid, material):
-        traj = solve_adjoint(material, grid, 1.0, self.window())
+        traj = solve_adjoint(material, grid, 1.0, self.window(grid))
         slab = traj.values[:, -1]
         np.testing.assert_array_equal(slab[:, ::-1, :], slab)
 
@@ -314,8 +321,8 @@ class TestSolveAdjoint:
 
     def test_linearity_in_mismatch(self, material):
         grid = baseline_grid(t_end=0.5, n_mu=16)
-        base = solve_adjoint(material, grid, 1.0, self.window(center=0.3))
-        scaled = solve_adjoint(material, grid, -3.5, self.window(center=0.3))
+        base = solve_adjoint(material, grid, 1.0, self.window(grid, center=0.3))
+        scaled = solve_adjoint(material, grid, -3.5, self.window(grid, center=0.3))
         np.testing.assert_allclose(
             scaled.values, -3.5 * base.values, rtol=0, atol=1e-12 * np.abs(scaled.values).max()
         )
@@ -323,10 +330,10 @@ class TestSolveAdjoint:
     def test_on_step_sees_each_stored_slice(self, grid, material):
         # The streamed slices are the stored trajectory's, bit for bit, in
         # backward time order; the traces match with nothing stored.
-        stored = solve_adjoint(material, grid, 1.5, self.window())
+        stored = solve_adjoint(material, grid, 1.5, self.window(grid))
         seen = []
         streamed = solve_adjoint(
-            material, grid, 1.5, self.window(), store_trajectory=False,
+            material, grid, 1.5, self.window(grid), store_trajectory=False,
             on_step=lambda n, p: seen.append((n, p.copy())),
         )
         assert [n for n, _ in seen] == list(range(grid.n_t - 2, -1, -1))

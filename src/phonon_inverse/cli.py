@@ -552,8 +552,12 @@ def run_forward_demo(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         store_trajectory=False, snapshot_times=config.forward.snapshot_times,
     )
     written = []
-    snapshot_times = trajectory.snapshot_times or ()
-    snapshots = trajectory.snapshots if trajectory.snapshots is not None else []
+    # One file per distinct node: a time asked for twice, or two times that
+    # round to one node, share it.
+    by_node = {}
+    if trajectory.snapshots is not None:
+        by_node = dict(zip(trajectory.snapshot_times, trajectory.snapshots))
+    snapshot_times, snapshots = list(by_node), list(by_node.values())
     header = ["x"] + [f"omega={w:g}" for w in grid.omega_nodes]
     for t_snap, snap in zip(snapshot_times, snapshots):
         mean_field = np.einsum("xmo,m->xo", snap, grid.mu_mean)

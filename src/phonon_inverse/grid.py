@@ -21,6 +21,7 @@ edge.  Equal weights keep all channels on the same footing.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -53,6 +54,23 @@ def _trapezoid_weights(nodes: FloatArray) -> FloatArray:
     weights[0] = 0.5 * step
     weights[-1] = 0.5 * step
     return weights
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n_mu: int) -> tuple[FloatArray, FloatArray]:
+    """Symmetrized Gauss-Legendre nodes and weights on (-1, 1), read-only.
+
+    Cached per node count: computing the rule costs milliseconds, which
+    dominates building a grid.  Callers copy before handing them out.
+    """
+    mu_nodes, mu_weights = np.polynomial.legendre.leggauss(n_mu)
+    # Symmetrize so that the reflection pairing mu[i] == -mu[-1 - i] is exact
+    # in floating point, not merely up to the quadrature solver's rounding.
+    mu_nodes = 0.5 * (mu_nodes - mu_nodes[::-1])
+    mu_weights = 0.5 * (mu_weights + mu_weights[::-1])
+    mu_nodes.setflags(write=False)
+    mu_weights.setflags(write=False)
+    return mu_nodes, mu_weights
 
 
 def _channel_weights(nodes: FloatArray) -> FloatArray:
@@ -200,11 +218,7 @@ def build_grid(config: GridConfig) -> PhaseGrid:
         _node_count(config.omega_min, config.omega_max, config.domega), dtype=float
     )
 
-    mu_nodes, mu_weights = np.polynomial.legendre.leggauss(config.n_mu)
-    # Symmetrize so that the reflection pairing mu[i] == -mu[-1 - i] is exact
-    # in floating point, not merely up to the quadrature solver's rounding.
-    mu_nodes = 0.5 * (mu_nodes - mu_nodes[::-1])
-    mu_weights = 0.5 * (mu_weights + mu_weights[::-1])
+    mu_nodes, mu_weights = (a.copy() for a in _gauss_legendre(config.n_mu))
 
     grid = PhaseGrid(
         t_nodes=t_nodes,

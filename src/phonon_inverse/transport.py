@@ -12,9 +12,19 @@ s = T - t and flipping the sign of mu turns it into the same forward-form
 system, so one stepping kernel serves both.
 
 Scheme: first-order upwind in x, forward Euler in t, explicit collision.
-Stability requires both the advective bound dt <= epsilon dx / max|mu v| and
-the relaxation bound dt <= 0.5 epsilon^2 min(tau); the solver re-validates
-both against the actual material before stepping.
+Per (mu, omega) cell, with the Courant number c = dt |mu| v / (epsilon dx)
+and the relaxation number r = dt / (epsilon^2 tau), one step is
+
+    h_new = (1 - r - c) h + c h_upwind + r T[h] h*.
+
+In u = h / h*, T[h] is a convex combination of the u values at the same x
+(weights proportional to the quadrature weights times h*), so when
+c + r <= 1 every update is a convex combination and max|u| cannot grow: a
+discrete maximum principle, which the copy-type boundary rules keep.  The
+von Neumann condition on the x-checkerboard mode, c + r/2 <= 1, is only
+necessary.  The solver checks the advective bound c <= 1, the relaxation
+bound r <= 1/2 and the joint bound c + r <= 1 against the actual material
+before stepping.
 """
 
 from __future__ import annotations
@@ -112,6 +122,22 @@ def _validate_stability(material: MaterialModel, grid: PhaseGrid) -> None:
             f"relaxation-stability violation: dt = {grid.dt} exceeds "
             f"0.5 * epsilon^2 * min(tau) = {relaxation_limit:.6g}"
         )
+    # The joint bound c + r <= 1 per (mu, omega) cell; both numbers scale
+    # with dt, so dt / max(c + r) is the largest step that meets it.
+    half = grid.n_mu // 2
+    courant = (grid.dt / (epsilon * grid.dx)) * grid.mu_nodes[half:, None] * material.velocity
+    relaxation = np.broadcast_to(grid.dt / (epsilon**2 * material.tau), courant.shape)
+    joint = courant + relaxation
+    worst = np.unravel_index(np.argmax(joint), joint.shape)
+    if joint[worst] > 1.0 + 1e-12:
+        raise ValueError(
+            f"joint stability violation: c + r = {joint[worst]:.6g} exceeds 1 at "
+            f"|mu| = {grid.mu_nodes[half + worst[0]]:.6g}, "
+            f"omega = {material.omega_nodes[worst[1]]:.6g} "
+            f"(Courant number c = {courant[worst]:.6g}, relaxation number "
+            f"r = {relaxation[worst]:.6g}); the largest admissible dt is "
+            f"{grid.dt / joint[worst]:.6g}"
+        )
 
 
 def source_table(
@@ -139,6 +165,20 @@ def _inflow_table(
     return source_table(source, grid) / material.tau
 
 
+def _fold(sheet: FloatArray, out: FloatArray, mirror: bool = False) -> None:
+    """Write an unfolded (2 n_x, n_mu/2, n_omega) sheet into (x, mu, omega) layout.
+
+    With ``mirror`` the direction cosine is negated on the way (mu -> -mu),
+    which is how the adjoint march's states become the adjoint field.
+    """
+    n_x, half = out.shape[0], out.shape[1] // 2
+    rightward, leftward = out[:, half:], out[:, :half]
+    if mirror:
+        rightward, leftward = leftward[:, ::-1], rightward[:, ::-1]
+    rightward[...] = sheet[:n_x]
+    leftward[...] = sheet[: n_x - 1 : -1, ::-1]
+
+
 def _integrate(
     material: MaterialModel,
     grid: PhaseGrid,
@@ -151,42 +191,62 @@ def _integrate(
 ) -> tuple[FloatArray | None, FloatArray, FloatArray | None, FloatArray | None]:
     """March the forward-form system for one source from a zero state.
 
+    The state is the slab unfolded at its specular face: one contiguous
+    sheet of shape (2 n_x, n_mu/2, n_omega) whose rows 0 .. n_x-1 hold the
+    mu > 0 half at x_0 .. x_{n_x-1}, and whose rows n_x .. 2 n_x-1 hold the
+    mu < 0 half with both x and mu reversed, so that column j of either half
+    carries the same |mu_j|.  Along the sheet every direction is upwinded from
+    the previous row; inflow writes row 0, specular reflection copies row
+    n_x-1 into row n_x, and outflow copies row 2 n_x-2 into row 2 n_x-1.
+
     ``inflow`` holds the x = 0 boundary values for the mu > 0 rows, shape
     (n_t, n_mu/2, n_omega); slice n is written after the step that lands on
     t_nodes[n].  ``moment_weights`` (K, n_mu, n_omega) requests streamed
     per-step reductions; ``snapshot_steps`` requests full state copies at
     those step indices (a step may be asked for more than once);
-    ``on_step(n, state)``, if given, sees each new state, which is only valid
-    during the call.  Returns (trajectory or None, left trace, moments or
-    None, snapshots or None).
+    ``on_step(n, sheet)``, if given, sees each new unfolded sheet, which is
+    only valid during the call.  Every returned array is in (x, mu, omega)
+    layout: (trajectory or None, left trace, moments or None, snapshots or
+    None).
     """
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
     if inflow.shape != (n_t, half, n_omega):
         raise ValueError(f"inflow must have shape {(n_t, half, n_omega)}, got {inflow.shape}")
     state_shape = (n_x, n_mu, n_omega)
+    rows = 2 * n_x
+    sheet_shape = (rows, half, n_omega)
 
     dt, dx, epsilon = grid.dt, grid.dx, grid.epsilon
-    # Advective Courant numbers per (mu, omega); positive-mu block is the
-    # upper half of the ascending node ordering.
-    courant = (dt / (epsilon * dx)) * grid.mu_nodes[:, None] * material.velocity
-    # Per-omega tables are spread over (mu, omega) so that each elementwise
-    # update runs over whole contiguous (mu, omega) rows.
-    relax_coef = np.broadcast_to(dt / (epsilon**2 * material.tau), (n_mu, n_omega)).copy()
-    h_star = np.broadcast_to(material.h_star, (n_mu, n_omega)).copy()
+    # Coefficient tables spread over the whole sheet, so that each update
+    # below is one contiguous elementwise pass.  The mu < 0 half's Courant
+    # numbers are exactly the negated mirror images of the mu > 0 half's
+    # (the nodes are symmetrized), so one |Courant| table serves both.
+    courant = np.broadcast_to(
+        (dt / (epsilon * dx)) * grid.mu_nodes[half:, None] * material.velocity,
+        (rows - 1, half, n_omega),
+    ).copy()
+    relax_coef = np.broadcast_to(dt / (epsilon**2 * material.tau), sheet_shape).copy()
+    # h* enters through an outer product with the density, per (mu, omega).
+    h_star = np.broadcast_to(material.h_star, (half, n_omega)).copy()
     h_star_mean = mean_omega(material.h_star, grid)
+    # The (mu, omega) weights are symmetric in mu, so the mu > 0 half's table,
+    # read in the sheet's column order, weights both halves.
+    density_weights = grid.mu_omega_mean[half:].ravel()
 
-    upwind = np.empty((n_x - 1, n_mu, n_omega))
-    if store_trajectory:
-        trajectory = np.zeros((n_t, *state_shape))
-    else:
-        trajectory = None
-        scratch = [np.zeros(state_shape), np.empty(state_shape)]
-        left = np.zeros((n_t, n_mu, n_omega))
+    sheets = [np.zeros(sheet_shape), np.empty(sheet_shape)]
+    upwind = np.empty((rows - 1, half, n_omega))
+    row_sums = np.empty(rows)
+    density = np.zeros(rows)
+    trajectory = np.zeros((n_t, *state_shape)) if store_trajectory else None
+    left = None if store_trajectory else np.zeros((n_t, n_mu, n_omega))
 
     moments = None
     if moment_weights is not None:
-        moments = np.zeros((n_t, n_x, moment_weights.shape[0]))
+        n_moments = moment_weights.shape[0]
+        moments = np.zeros((n_t, n_x, n_moments))
+        rightward_weights = moment_weights[:, half:].reshape(n_moments, -1).T.copy()
+        leftward_weights = moment_weights[:, half - 1 :: -1].reshape(n_moments, -1).T.copy()
     snapshot_slots: dict[int, list[int]] = {}
     for j, step in enumerate(snapshot_steps):
         snapshot_slots.setdefault(int(step), []).append(j)
@@ -194,43 +254,49 @@ def _integrate(
         np.zeros((len(snapshot_steps), *state_shape)) if snapshot_steps else None
     )
 
-    state = trajectory[0] if store_trajectory else scratch[0]
-    density = np.einsum("xmo,mo->x", state, grid.mu_omega_mean) / h_star_mean
+    state = sheets[0]
     for n in range(1, n_t):
-        new = trajectory[n] if store_trajectory else scratch[n % 2]
+        new = sheets[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
         np.einsum("x,mo->xmo", density, h_star, out=new)
         new -= state
         new *= relax_coef
         new += state
-        # One Courant-weighted difference between neighbouring x nodes serves
-        # both directions: mu > 0 rows take it from the left, mu < 0 rows
-        # from the right.
+        # Upwind difference along the sheet: every row takes it from the row
+        # before.  Row n_x's difference crosses the reflecting face and is
+        # overwritten below.
         np.subtract(state[1:], state[:-1], out=upwind)
         upwind *= courant
-        new[1:, half:, :] -= upwind[:, half:, :]
-        new[:-1, :half, :] -= upwind[:, :half, :]
-        # Boundary rules, in dependency order: inflow rows at x = 0, specular
-        # reflection at x = 1 (pairs mu with -mu via index reversal), then
-        # first-order outflow extrapolation at x = 0.
-        new[0, half:, :] = inflow[n]
-        new[-1, :half, :] = new[-1, half:, :][::-1, :]
-        new[0, :half, :] = new[1, :half, :]
-        # The weights are positive, so the density of the new state is
-        # nonfinite whenever any of its cells is.
-        density = np.einsum("xmo,mo->x", new, grid.mu_omega_mean) / h_star_mean
-        if not np.isfinite(density).all():
+        new[1:] -= upwind
+        # Boundary rules, in dependency order: inflow at x = 0, specular
+        # reflection at x = 1, then first-order outflow extrapolation at x = 0.
+        new[0] = inflow[n]
+        new[n_x] = new[n_x - 1]
+        new[-1] = new[-2]
+        # Each half's density is one matrix-vector product; folding the
+        # reversed second half onto the first sums them per x node.  The
+        # weights are positive, so the density is nonfinite whenever any
+        # cell is.
+        np.matmul(new.reshape(rows, -1), density_weights, out=row_sums)
+        np.add(row_sums[:n_x], row_sums[: n_x - 1 : -1], out=density[:n_x])
+        density[:n_x] /= h_star_mean
+        if not np.isfinite(density[:n_x]).all():
             raise RuntimeError(
                 f"{label} solve produced a nonfinite value at step {n} "
                 f"(t = {grid.t_nodes[n]:.6g})"
             )
-        if not store_trajectory:
-            left[n] = new[0]
+        density[n_x:] = density[n_x - 1 :: -1]
+        if store_trajectory:
+            _fold(new, trajectory[n])
+        else:
+            left[n, half:] = new[0]
+            left[n, :half] = new[-1, ::-1]
         if moments is not None:
-            moments[n] = np.einsum("xmo,kmo->xk", new, moment_weights)
+            moments[n] = new[:n_x].reshape(n_x, -1) @ rightward_weights
+            moments[n] += (new[n_x:].reshape(n_x, -1) @ leftward_weights)[::-1]
         for j in snapshot_slots.get(n, ()):
-            snapshots[j] = new
+            _fold(new, snapshots[j])
         if on_step is not None:
             on_step(n, new)
         state = new
@@ -335,7 +401,8 @@ def solve_adjoint(
     ``on_step(n, p)``, if given, is called with p at t_nodes[n], shape
     (n_x, n_mu, n_omega), for n from n_t - 2 down to 0 as the backward march
     produces it; with ``store_trajectory=False`` this reduces the field
-    without keeping it.
+    without keeping it.  ``p`` is one buffer refilled at every step, so a
+    callback that keeps a slice must copy it.
     """
     _validate_stability(material, grid)
     window = np.asarray(test_window, dtype=float)
@@ -360,10 +427,15 @@ def solve_adjoint(
         / mu_pos[:, None]
     )
     inflow = window[::-1, None, None] * profile
-    last = grid.n_t - 1
-    reversed_step = None if on_step is None else (
-        lambda s, state: on_step(last - s, state[:, ::-1, :].copy())
-    )
+    reversed_step = None
+    if on_step is not None:
+        last = grid.n_t - 1
+        field = np.empty((grid.n_x, grid.n_mu, grid.n_omega))
+
+        def reversed_step(s: int, sheet: FloatArray) -> None:
+            _fold(sheet, field, mirror=True)
+            on_step(last - s, field)
+
     values, left, _, _ = _integrate(
         material, grid, inflow, store_trajectory, label="adjoint",
         on_step=reversed_step,

@@ -263,6 +263,27 @@ omega_slice = 0.2, 0.2, 0.96
         assert np.abs(slices[0][:, 1]).max() > 0.0
         np.testing.assert_array_equal(slices[1], slices[0])
 
+    def test_one_snapshot_file_per_distinct_node(self, tmp_path, capsys):
+        # 0.2 is asked for twice and 0.2004 rounds to the same node.
+        config_path = write_config(tmp_path, """
+[grid]
+dt = 0.01
+dx = 0.05
+t_end = 0.3
+
+[forward]
+snapshot_times = 0.1, 0.2, 0.2, 0.2004
+""")
+        out = tmp_path / "out"
+        assert main(["forward", "--config", str(config_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("snapshot_t*.csv")) == [
+            "snapshot_t0.1.csv", "snapshot_t0.2.csv",
+        ]
+        listed = capsys.readouterr().out.splitlines()
+        assert len(listed) == len(set(listed))
+        assert sum("snapshot_t" in line for line in listed) == 2
+        assert summary_dict(out / "summary.csv")["n_snapshots"] == "2"
+
     def test_error_line_on_stderr(self, tmp_path, capsys):
         config_path = write_config(tmp_path, "[grid]\ndt = -1\n")
         rc = main(["forward", "--config", str(config_path), "--out", str(tmp_path / "o")])

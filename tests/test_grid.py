@@ -42,6 +42,24 @@ class TestBuildGrid:
         assert g.mu_nodes == pytest.approx([-1 / np.sqrt(3), 1 / np.sqrt(3)], abs=1e-15)
         assert g.mu_weights == pytest.approx([1.0, 1.0], abs=1e-15)
 
+    @pytest.mark.parametrize("n_mu", [2, 16, 64])
+    def test_cached_rule_equals_direct_leggauss(self, n_mu):
+        # The rule is computed once per node count; every grid must still
+        # read exactly the symmetrized leggauss nodes and weights.
+        nodes, weights = np.polynomial.legendre.leggauss(n_mu)
+        for _ in range(2):
+            g = build_grid(baseline_config(n_mu=n_mu))
+            np.testing.assert_array_equal(g.mu_nodes, 0.5 * (nodes - nodes[::-1]))
+            np.testing.assert_array_equal(g.mu_weights, 0.5 * (weights + weights[::-1]))
+
+    def test_grids_share_no_writable_array(self):
+        first = build_grid(baseline_config(n_mu=16))
+        second = build_grid(baseline_config(n_mu=16))
+        for name in ("mu_nodes", "mu_weights", "mu_mean", "mu_omega_mean"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert not a.flags.writeable and not b.flags.writeable
+            assert not np.shares_memory(a, b), name
+
     def test_mu_weights_sum_to_two(self, grid):
         assert grid.mu_weights.sum() == pytest.approx(2.0, rel=1e-12)
 

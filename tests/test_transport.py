@@ -1,7 +1,11 @@
 """Tests for the forward and adjoint transport solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phonon_inverse.collision import mean_omega, temperature_of
 from phonon_inverse.grid import GridConfig, build_grid
@@ -20,6 +24,7 @@ from phonon_inverse.transport import (
     solve_forward,
     solve_forward_batch,
 )
+from transport_reference import reference_inflow, reference_march
 
 BEAM = BoundarySource(t0=0.04, mu0=0.96, omega0=2.0, widths=(0.01, 0.01, 0.1))
 BEAM_ARRIVAL = 0.04 + 2.0 / (0.96 * 2.1)  # return time of the reflected pulse
@@ -260,6 +265,78 @@ class TestSolveForward:
                 sluggish, grid, BoundarySource(0.1, 0.5, 1.2, (0.05, 0.05, 0.2))
             )
 
+    @staticmethod
+    def joint_case(dt_scale):
+        """A grid with c = 1.00 and r = 0.33 at dt_scale = 1 (the advective limit)."""
+        def grid_at(dt):
+            return build_grid(GridConfig(
+                dt=dt, dx=0.02, domega=0.4, n_mu=16, t_end=0.2,
+                omega_min=0.4, omega_max=4.0, epsilon=0.05,
+            ))
+
+        probe = grid_at(1e-4)
+        material = build_material(constant_tau(0.5), default_g_star(), probe.omega_nodes)
+        advective_limit = 0.05 * 0.02 / material.max_characteristic_speed(probe.mu_nodes)
+        return grid_at(dt_scale * advective_limit), material
+
+    def test_joint_stability_violation_refused(self):
+        # c <= 1 and r <= 1/2 both hold here, but c + r = 1.33, and the
+        # unchecked reference march of this grid diverges.
+        grid, material = self.joint_case(1.0)
+        pulse = BoundarySource(0.02, 0.9, 2.0, (0.005, 0.05, 0.2))
+        inflow = reference_inflow(pulse, material, grid)
+        assert np.abs(reference_march(material, grid, inflow)[-1]).max() > 1e20
+        with pytest.raises(
+            ValueError,
+            match=r"c \+ r = 1\.334.*\|mu\| = 0\.989401, omega = 0\.4 "
+                  r"\(Courant number c = 1, relaxation number r = 0\.33412\); "
+                  r"the largest admissible dt is 0\.000313053",
+        ):
+            solve_forward(material, grid, pulse)
+
+    def test_inside_joint_bound_obeys_maximum_principle(self):
+        # At 0.7 of the advective limit, c + r = 0.93: every update of
+        # u = h / h* is a convex combination, so max|u| never exceeds the
+        # inflow's.
+        grid, material = self.joint_case(0.7)
+        pulse = BoundarySource(0.02, 0.9, 2.0, (0.005, 0.05, 0.2))
+        traj = solve_forward(material, grid, pulse)
+        inflow_max = (reference_inflow(pulse, material, grid) / material.h_star).max()
+        u = traj.values / material.h_star
+        assert u.min() >= 0.0
+        assert u.max() <= inflow_max * (1 + 1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dt_fraction=st.floats(0.05, 1.0),
+        epsilon=st.floats(0.05, 1.0),
+        tau=st.floats(0.1, 2.0),
+        n_mu=st.sampled_from([2, 4, 8]),
+    )
+    def test_march_inside_joint_bound_stays_bounded(self, dt_fraction, epsilon, tau, n_mu):
+        dx = 0.1
+        probe = build_grid(GridConfig(
+            dt=1.0, dx=dx, domega=1.0, n_mu=n_mu, t_end=2.0,
+            omega_min=1.0, omega_max=3.0, epsilon=epsilon,
+        ))
+        material = build_material(constant_tau(tau), default_g_star(), probe.omega_nodes)
+        # Largest dt meeting c + r <= 1 and r <= 1/2 in every cell.
+        rates = (
+            np.abs(probe.mu_nodes)[:, None] * material.velocity / (epsilon * dx)
+            + 1.0 / (epsilon**2 * material.tau)
+        )
+        dt = dt_fraction * min(1.0 / rates.max(), 0.5 * epsilon**2 * tau)
+        grid = build_grid(GridConfig(
+            dt=dt, dx=dx, domega=1.0, n_mu=n_mu, t_end=200 * dt,
+            omega_min=1.0, omega_max=3.0, epsilon=epsilon,
+        ))
+        pulse = BoundarySource(20 * dt, 0.5, 2.0, (5 * dt, 0.5, 0.5))
+        traj = solve_forward(material, grid, pulse)
+        u = traj.values / material.h_star
+        inflow_max = (reference_inflow(pulse, material, grid) / material.h_star).max()
+        assert u.min() >= 0.0
+        assert u.max() <= inflow_max * (1 + 1e-12)
+
     def test_nonfinite_aborts_with_step_index(self, material):
         grid = baseline_grid(t_end=0.1, n_mu=8)
         poisoned = lambda t, mu, omega: np.full(
@@ -267,6 +344,103 @@ class TestSolveForward:
         )
         with pytest.raises(RuntimeError, match="step 1"):
             solve_forward(material, grid, poisoned)
+
+
+def assert_close_to_reference(actual, expected, rtol=1e-14):
+    assert actual.shape == expected.shape
+    assert np.abs(expected).max() > 0.0
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+class TestAgainstReferenceMarch:
+    """The unfolded march against a plain (x, mu, omega) step, in every readout."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        # Non-constant tau and v; the pulse reflects and returns within t_end.
+        grid = build_grid(GridConfig(
+            dt=0.005, dx=0.05, domega=0.8, n_mu=8, t_end=1.2,
+            omega_min=0.4, omega_max=4.0,
+        ))
+        material = build_material(ground_truth_tau(), default_g_star(), grid.omega_nodes)
+        return grid, material
+
+    @pytest.fixture(scope="class")
+    def reference(self, small):
+        grid, material = small
+        return reference_march(material, grid, reference_inflow(BEAM, material, grid))
+
+    def test_left_trace(self, small, reference):
+        grid, material = small
+        traj = solve_forward(material, grid, BEAM, store_trajectory=False)
+        assert_close_to_reference(traj.left_trace, reference[:, 0])
+
+    def test_stored_values(self, small, reference):
+        grid, material = small
+        traj = solve_forward(material, grid, BEAM)
+        assert_close_to_reference(traj.values, reference)
+
+    def test_moments(self, small, reference):
+        grid, material = small
+        weights = np.stack([
+            grid.mu_omega_mean,
+            grid.mu_nodes[:, None] * material.velocity * grid.mu_omega_mean,
+        ])
+        traj = solve_forward(
+            material, grid, BEAM, store_trajectory=False, moment_weights=weights
+        )
+        expected = np.einsum("txmo,kmo->txk", reference, weights)
+        for k in range(weights.shape[0]):
+            assert_close_to_reference(traj.moments[..., k], expected[..., k])
+
+    def test_snapshots(self, small, reference):
+        grid, material = small
+        traj = solve_forward(
+            material, grid, BEAM, store_trajectory=False, snapshot_times=(0.9, 0.3, 0.9)
+        )
+        for snapshot, n in zip(traj.snapshots, (180, 60, 180)):
+            assert_close_to_reference(snapshot, reference[n])
+
+    def test_adjoint_on_step_slices(self, small):
+        grid, material = small
+        half = grid.n_mu // 2
+        mismatch = 1.5
+        window = gaussian_bump(grid.t_nodes - 0.9, 0.08)
+        # The adjoint inflow p(t, 0, mu < 0), written at -mu > 0 in reversed
+        # time; the reference march then gives p at t_nodes[last - s], mu flipped.
+        profile = (
+            grid.epsilon * mismatch * material.h_star
+            / (-grid.mu_nodes[half:, None] * material.velocity * material.tau
+               * mean_omega(material.h_star, grid))
+        )
+        backward = reference_march(material, grid, window[::-1, None, None] * profile)
+        last = grid.n_t - 1
+        seen = {}
+        solve_adjoint(
+            material, grid, mismatch, window, store_trajectory=False,
+            on_step=lambda n, p: seen.setdefault(n, p.copy()),
+        )
+        assert sorted(seen) == list(range(last))
+        assert_close_to_reference(
+            np.stack([seen[n] for n in range(last)]),
+            np.stack([backward[last - n][:, ::-1] for n in range(last)]),
+        )
+
+    def test_peak_memory_of_traces_only_march(self, grid, material):
+        # The march keeps the left trace and the inflow table, each n_t
+        # slices long, and a fixed number of state-sized arrays: never a
+        # per-step stack.
+        solve_forward(material, grid, BEAM, store_trajectory=False)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = solve_forward(material, grid, BEAM, store_trajectory=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        state_bytes = grid.n_x * grid.n_mu * grid.n_omega * 8
+        inflow_bytes = traj.left_trace.nbytes // 2
+        assert peak <= traj.left_trace.nbytes + inflow_bytes + 6 * state_bytes
 
 
 class TestSolveAdjoint:

@@ -21,17 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from phonon_inverse.collision import mean_omega
+from phonon_inverse.collision import mean_omega, temperature_of
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import BoundarySource, SourceFunction, solve_forward
 
 logger = logging.getLogger(__name__)
 
-# Pointwise conductivity is a ratio against the temperature gradient; below
-# this fraction of the global temperature scale the gradient is considered
-# flat and kappa undefined (stored as NaN, flagged in kappa_defined).
-GRADIENT_FLOOR_FRACTION = 1e-8
+# Pointwise conductivity is the ratio -q / dT_dx.  Where the gradient is
+# below this fraction of the global temperature scale, or the flux below this
+# fraction of its largest magnitude (rounding noise, as at the reflecting
+# wall), kappa is undefined (stored as NaN, flagged in kappa_defined).
+FLOOR_FRACTION = 1e-8
 
 # write_macro_trace_csv formats this many time nodes (n_x rows each) per
 # write, and its row template matches csv.writer's default dialect.
@@ -105,11 +106,15 @@ def _assemble_macro_trace(
     )
 
 
+def _above_floor(values: FloatArray, scale: float) -> FloatArray:
+    floor = FLOOR_FRACTION * scale
+    return np.abs(values) >= floor if floor > 0.0 else np.abs(values) > 0.0
+
+
 def _kappa_ratio(
     q: FloatArray, temperature: FloatArray, dT_dx: FloatArray
 ) -> tuple[FloatArray, FloatArray]:
-    floor = GRADIENT_FLOOR_FRACTION * np.abs(temperature).max()
-    defined = np.abs(dT_dx) >= floor if floor > 0.0 else np.abs(dT_dx) > 0.0
+    defined = _above_floor(dT_dx, np.abs(temperature).max()) & _above_floor(q, np.abs(q).max())
     kappa = np.full(q.shape, np.nan)
     np.divide(-q, dT_dx, out=kappa, where=defined)
     return kappa, defined
@@ -279,11 +284,7 @@ def chapman_enskog_residual(
             f"expected a single-time slice of shape "
             f"{(grid.n_x, grid.n_mu, grid.n_omega)}, got {slice_g.shape}"
         )
-    h_star_mean = mean_omega(material.h_star, grid)
-    u = (
-        np.einsum("xmo,m,o->x", slice_g / material.tau, grid.mu_mean, grid.omega_mean)
-        / h_star_mean
-    )
+    u = temperature_of(slice_g / material.tau, material, grid)
     du_dx = np.gradient(u, grid.dx, edge_order=2)
     leading = material.g_star * u[:, None, None]
     first_order = (

@@ -7,6 +7,12 @@ window psi centered on the predicted round-trip arrival integrates the
 temperature trace into a single scalar measurement.  The misfit between that
 scalar and a recorded datum defines a half-squared loss per experiment.
 
+Every measurement (data, losses, the total loss and the mismatch that seeds
+the adjoint) is read from the material's boundary response: one transposed
+march gives the x = 0 temperature's sensitivity to the inflow at every time
+lag, and each experiment's readout is then one dense sum of its inflow
+table against the windowed lags.  No forward march is needed for a loss.
+
 The loss gradient with respect to the relaxation-time profile tau(omega) is
 assembled from one forward solve and one adjoint solve.  Perturbing tau moves
 the solution through three routes — the inflow boundary value phi/tau, the
@@ -25,16 +31,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from phonon_inverse.collision import mean_mu_omega, mean_omega, temperature_of
+from phonon_inverse.collision import mean_mu_omega, mean_omega
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import (
     BoundarySource,
     SourceFunction,
+    boundary_response,
     gaussian_bump,
     solve_adjoint,
     solve_forward,
-    solve_forward_batch,
     source_table,
 )
 
@@ -132,19 +138,37 @@ def frequency_sweep_pairs(
     ]
 
 
-def _windowed_trace_average(
-    left_trace: FloatArray,
-    window_values: FloatArray,
+def _readout(
+    response: FloatArray,
+    pair: SourceTestPair,
     material: MaterialModel,
     grid: PhaseGrid,
 ) -> float:
-    """Time average of window * boundary temperature for one (n_t, n_mu, n_omega) trace.
+    """Time average of window * boundary temperature, from the boundary response.
 
-    Every measurement goes through this one reduction, so synthetic data and
-    the losses that recompute them agree bit for bit.
+    With N = n_t - 1, inflow u_m written at step m and weights
+    w_n = window(t_n) * t_mean_n, the measurement is
+
+        sum_{m=1..N} u_m . sum_{k=0..N-m} w_{m+k} g[k],
+
+    one (N x N Hankel) @ (N x n_mu/2 n_omega) product.  Every measurement
+    goes through this one reduction with the same shapes, so synthetic data
+    and the losses that recompute them agree bit for bit.
     """
-    boundary_temperature = temperature_of(left_trace, material, grid)
-    return float((boundary_temperature * window_values) @ grid.t_mean)
+    inflow = source_table(pair.source, grid)[1:] / material.tau
+    nonfinite = ~np.isfinite(inflow).all(axis=(1, 2))
+    if nonfinite.any():
+        n = int(np.argmax(nonfinite)) + 1
+        raise RuntimeError(
+            f"forward readout met a nonfinite inflow at step {n} "
+            f"(t = {grid.t_nodes[n]:.6g})"
+        )
+    steps = grid.n_t - 1
+    weights = np.zeros(2 * steps)
+    weights[:steps] = (pair.window(grid.t_nodes) * grid.t_mean)[1:]
+    hankel = np.lib.stride_tricks.sliding_window_view(weights, steps)[:steps].copy()
+    lagged = hankel @ response.reshape(steps, -1)
+    return float(lagged.ravel() @ inflow.ravel())
 
 
 def forward_map(
@@ -154,9 +178,7 @@ def forward_map(
 ) -> float:
     """The scalar measurement: window-averaged boundary temperature at x = 0."""
     _require_window_fit(pair, grid)
-    trajectory = solve_forward(material, grid, pair.source, store_trajectory=False)
-    window_values = pair.window(grid.t_nodes)
-    return _windowed_trace_average(trajectory.left_trace, window_values, material, grid)
+    return _readout(boundary_response(material, grid), pair, material, grid)
 
 
 def forward_map_batch(
@@ -167,11 +189,8 @@ def forward_map_batch(
     """Measurements for several experiments; each equals :func:`forward_map` bit for bit."""
     for pair in pairs:
         _require_window_fit(pair, grid)
-    traces = solve_forward_batch(material, grid, [pair.source for pair in pairs])
-    return np.array([
-        _windowed_trace_average(trace, pair.window(grid.t_nodes), material, grid)
-        for trace, pair in zip(traces, pairs)
-    ])
+    response = boundary_response(material, grid)
+    return np.array([_readout(response, pair, material, grid) for pair in pairs])
 
 
 def generate_data(
@@ -328,8 +347,10 @@ def loss_and_gradient(
 ) -> tuple[float, float, FloatArray]:
     """One forward and one adjoint solve: (loss, mismatch, gradient).
 
-    The forward trajectory is stored; the adjoint is reduced against it time
-    node by time node as it is marched, so only one trajectory is held.  The
+    The mismatch is read as every measurement is, from the boundary
+    response, before the forward trajectory is allocated.  The forward
+    trajectory is stored; the adjoint is reduced against it time node by
+    time node as it is marched, so only one trajectory is held.  The
     gradient lives on the frequency nodes; pairing it with a nodal
     tau-perturbation through :func:`omega_inner` gives the directional
     derivative of the loss.
@@ -337,11 +358,9 @@ def loss_and_gradient(
     _require_window_fit(pair, grid)
     datum = _require_datum(pair)
 
+    mismatch = forward_map(material, grid, pair) - datum
     forward = solve_forward(material, grid, pair.source)
     window_values = pair.window(grid.t_nodes)
-    measurement = _windowed_trace_average(forward.left_trace, window_values, material, grid)
-    mismatch = measurement - datum
-
     interior = _InteriorSums(material, grid, forward.values)
     adjoint = solve_adjoint(
         material, grid, mismatch, window_values,

@@ -11,6 +11,13 @@ with an inflow proportional to the measurement mismatch; substituting
 s = T - t and flipping the sign of mu turns it into the same forward-form
 system, so one stepping kernel serves both.
 
+Measurements read only the x = 0 temperature.  The march is linear in its
+inflow, its coefficients do not change in time and it starts from zero, so
+the temperature at step n is a sum over lags k of g[k] . inflow[n - k].
+:func:`boundary_response` computes g with one march of the step's exact
+transpose (the second kernel, sharing the first one's coefficient tables),
+and every readout of every source becomes a small dense sum.
+
 Scheme: first-order upwind in x, forward Euler in t, explicit collision.
 Per (mu, omega) cell, with the Courant number c = dt |mu| v / (epsilon dx)
 and the relaxation number r = dt / (epsilon^2 tau), one step is
@@ -29,6 +36,7 @@ before stepping.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -165,6 +173,63 @@ def _inflow_table(
     return source_table(source, grid) / material.tau
 
 
+@dataclass(frozen=True)
+class _StepTables:
+    """Coefficients of one step on the unfolded sheet, shared by both marches.
+
+    ``courant`` (2 n_x - 1, n_mu/2, n_omega) and ``relax`` (2 n_x, n_mu/2,
+    n_omega) are spread over the sheet rows they act on, so that each update
+    is one contiguous elementwise pass.  The mu < 0 half's Courant numbers
+    are exactly the negated mirror images of the mu > 0 half's (the nodes
+    are symmetrized), so one |Courant| table serves both.  ``h_star`` is the
+    (n_mu/2, n_omega) table the density multiplies.  The (mu, omega) weights
+    are symmetric in mu, so ``density_weights``, the mu > 0 half's table
+    flattened in the sheet's column order, weights both halves; the density
+    divides by ``h_star_mean``.
+    """
+
+    courant: FloatArray
+    relax: FloatArray
+    h_star: FloatArray
+    h_star_mean: float
+    density_weights: FloatArray
+
+    # The transposed step's tables, built on first use.
+    @functools.cached_property
+    def readout(self) -> FloatArray:
+        """w / mean_omega h*, (n_mu/2, n_omega): the temperature's weight per cell."""
+        return self.density_weights.reshape(self.h_star.shape) / self.h_star_mean
+
+    @functools.cached_property
+    def keep(self) -> FloatArray:
+        """1 - r - c over the whole sheet."""
+        keep = 1.0 - self.relax
+        keep -= self.courant[0]
+        return keep
+
+    @functools.cached_property
+    def relax_h_star(self) -> FloatArray:
+        """r h*, flattened in the sheet's column order."""
+        return (self.relax[0] * self.h_star).ravel()
+
+
+def _step_tables(material: MaterialModel, grid: PhaseGrid) -> _StepTables:
+    half, n_omega, rows = grid.n_mu // 2, grid.n_omega, 2 * grid.n_x
+    epsilon = grid.epsilon
+    return _StepTables(
+        courant=np.broadcast_to(
+            (grid.dt / (epsilon * grid.dx)) * grid.mu_nodes[half:, None] * material.velocity,
+            (rows - 1, half, n_omega),
+        ).copy(),
+        relax=np.broadcast_to(
+            grid.dt / (epsilon**2 * material.tau), (rows, half, n_omega)
+        ).copy(),
+        h_star=np.broadcast_to(material.h_star, (half, n_omega)).copy(),
+        h_star_mean=mean_omega(material.h_star, grid),
+        density_weights=grid.mu_omega_mean[half:].ravel(),
+    )
+
+
 def _fold(sheet: FloatArray, out: FloatArray, mirror: bool = False) -> None:
     """Write an unfolded (2 n_x, n_mu/2, n_omega) sheet into (x, mu, omega) layout.
 
@@ -216,23 +281,9 @@ def _integrate(
     state_shape = (n_x, n_mu, n_omega)
     rows = 2 * n_x
     sheet_shape = (rows, half, n_omega)
-
-    dt, dx, epsilon = grid.dt, grid.dx, grid.epsilon
-    # Coefficient tables spread over the whole sheet, so that each update
-    # below is one contiguous elementwise pass.  The mu < 0 half's Courant
-    # numbers are exactly the negated mirror images of the mu > 0 half's
-    # (the nodes are symmetrized), so one |Courant| table serves both.
-    courant = np.broadcast_to(
-        (dt / (epsilon * dx)) * grid.mu_nodes[half:, None] * material.velocity,
-        (rows - 1, half, n_omega),
-    ).copy()
-    relax_coef = np.broadcast_to(dt / (epsilon**2 * material.tau), sheet_shape).copy()
-    # h* enters through an outer product with the density, per (mu, omega).
-    h_star = np.broadcast_to(material.h_star, (half, n_omega)).copy()
-    h_star_mean = mean_omega(material.h_star, grid)
-    # The (mu, omega) weights are symmetric in mu, so the mu > 0 half's table,
-    # read in the sheet's column order, weights both halves.
-    density_weights = grid.mu_omega_mean[half:].ravel()
+    tables = _step_tables(material, grid)
+    courant, relax_coef, h_star = tables.courant, tables.relax, tables.h_star
+    h_star_mean, density_weights = tables.h_star_mean, tables.density_weights
 
     sheets = [np.zeros(sheet_shape), np.empty(sheet_shape)]
     upwind = np.empty((rows - 1, half, n_omega))
@@ -303,8 +354,38 @@ def _integrate(
 
     if store_trajectory:
         left = trajectory[:, 0].copy()
-    logger.debug("%s solve: %d steps, epsilon=%g", label, n_t - 1, epsilon)
+    logger.debug("%s solve: %d steps, epsilon=%g", label, n_t - 1, grid.epsilon)
     return trajectory, left, moments, snapshots
+
+
+def _transposed_step(
+    q: FloatArray, out: FloatArray, tables: _StepTables, scratch: FloatArray
+) -> None:
+    """Write into ``out`` the exact transpose of :func:`_integrate`'s step, applied to q.
+
+    The step is taken with zero inflow, so it is linear; ``q`` is a cotangent
+    on the unfolded sheet, and it and ``scratch`` (same shape) are
+    overwritten.  The forward step's boundary rules are transposed first, in
+    reverse order: the outflow copy and the reflection copy add the copied
+    row's cotangent into its source row, and the overwritten rows are
+    zeroed.  The interior transpose is w / mean_omega h* times sum(r h* q)
+    folded over the two rows that share an x node (the density), plus
+    (1 - r - c) q, plus c q from the next row (the upwind difference).
+    """
+    rows = q.shape[0]
+    n_x = rows // 2
+    q[-2] += q[-1]
+    q[-1] = 0.0
+    q[n_x - 1] += q[n_x]
+    q[n_x] = 0.0
+    q[0] = 0.0
+    row_sums = q.reshape(rows, -1) @ tables.relax_h_star
+    folded = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
+    np.einsum("x,mo->xmo", np.concatenate((folded, folded[::-1])), tables.readout, out=out)
+    np.multiply(tables.keep, q, out=scratch)
+    out += scratch
+    np.multiply(tables.courant, q[1:], out=scratch[:-1])
+    out[:-1] += scratch[:-1]
 
 
 def _snapshot_steps(grid: PhaseGrid, snapshot_times: Sequence[float]) -> list[int]:
@@ -372,6 +453,51 @@ def solve_forward_batch(
         )[1]
         for source in sources
     ])
+
+
+# The last response computed: (grid, material key, response).  See
+# boundary_response.
+_last_response: tuple[PhaseGrid, tuple[bytes, ...], FloatArray] | None = None
+
+
+def boundary_response(material: MaterialModel, grid: PhaseGrid) -> FloatArray:
+    """Sensitivity of the x = 0 temperature to the inflow at every time lag.
+
+    Returns ``g`` of shape (n_t - 1, n_mu/2, n_omega): the temperature at
+    step n is sum_k g[k] . inflow[n - k] over the inflow rows written at
+    steps 1 .. n, exactly as :func:`solve_forward` marches it.  The march is
+    linear in its inflow, its coefficients do not change in time and it
+    starts from zero, so ``g[k]`` is row 0 of k transposed steps applied to
+    the readout weights; one march serves every source and window.
+
+    The last result is kept: a call with the same grid object and a
+    material with equal tau, velocity, g* and frequency nodes returns the
+    same read-only array.
+    """
+    global _last_response
+    _validate_stability(material, grid)
+    key = tuple(
+        a.tobytes()
+        for a in (material.tau, material.velocity, material.g_star, material.omega_nodes)
+    )
+    if _last_response is not None and _last_response[0] is grid and _last_response[1] == key:
+        return _last_response[2]
+
+    tables = _step_tables(material, grid)
+    cotangent = np.zeros((2 * grid.n_x, *tables.readout.shape))
+    cotangent[0] = tables.readout
+    cotangent[-1] = tables.readout
+    spare, scratch = np.empty_like(cotangent), np.empty_like(cotangent)
+    response = np.empty((grid.n_t - 1, *tables.readout.shape))
+    response[0] = tables.readout
+    for k in range(1, grid.n_t - 1):
+        _transposed_step(cotangent, spare, tables, scratch)
+        response[k] = spare[0]
+        cotangent, spare = spare, cotangent
+    response.setflags(write=False)
+    _last_response = (grid, key, response)
+    logger.debug("boundary response: %d transposed steps", grid.n_t - 2)
+    return response
 
 
 def solve_adjoint(

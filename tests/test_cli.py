@@ -6,6 +6,9 @@ injected at mu0 = 0.99) keeps each solve to a couple hundred time steps.
 """
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +333,25 @@ settle_time = 0.1
             assert len(rows) == grid.n_t * grid.n_x
         assert int(summary_dict(out1 / "summary.csv")["n_runs"]) == 2
 
+    def test_kappa_undefined_where_flux_is_rounding_noise(self, tmp_path):
+        # At the reflecting wall x = 1 the flux is rounding noise; a ratio
+        # against it is no conductivity, so those rows must be flagged.
+        config_path = write_config(tmp_path, self.CHEAP_DIFFUSION_INI)
+        out = tmp_path / "out"
+        assert main(["diffusion", "--preset", "fig1", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        for eps in ("0.4", "0.2"):
+            _, rows = read_csv(out / f"macro_trace_eps{eps}.csv")
+            x = np.array([float(row[1]) for row in rows])
+            q = np.array([float(row[2]) for row in rows])
+            kappa = np.array([float(row[5]) for row in rows])
+            defined = np.array([row[6] == "1" for row in rows])
+            noise = np.abs(q) < 1e-8 * np.abs(q).max()
+            assert (noise & (x == 1.0)).any()
+            assert not (noise & defined).any()
+            assert np.isnan(kappa[noise]).all()
+            assert defined[x == 0.5].any()
+
 
 class TestGenerateData:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -339,6 +361,24 @@ class TestGenerateData:
         assert main(["generate-data", "--config", str(config_path), "--out", str(out2)]) == 0
         for name in ("config.ini", "pairs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_blas_thread_count_leaves_bytes_unchanged(self, tmp_path):
+        # Each readout is one BLAS matrix product; its result must not depend
+        # on how many threads OpenBLAS splits it over.
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "phonon_inverse.cli", "generate-data",
+                 "--preset", "sec52", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr[-4000:]
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert "pairs.csv" in outputs["1"]
+        assert outputs["1"] == outputs["2"]
 
     def test_datum_matches_library_path(self, tmp_path):
         config_path = write_config(tmp_path, CHEAP_PAIR_INI)

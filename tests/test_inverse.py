@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phonon_inverse.grid import GridConfig, build_grid
 from phonon_inverse.inverse import (
@@ -41,7 +43,8 @@ from phonon_inverse.material import (
     ground_truth_tau,
     initial_guess_tau,
 )
-from phonon_inverse.transport import BoundarySource
+from phonon_inverse.transport import BoundarySource, solve_forward
+from transport_reference import windowed_trace_average
 
 DIRECTION_SEED = 20260825
 
@@ -234,6 +237,84 @@ class TestForwardMap:
         batch = forward_map_batch(material_guess, grid, sweep_pairs)
         singles = [forward_map(material_guess, grid, p) for p in sweep_pairs]
         np.testing.assert_array_equal(batch, singles)
+
+
+def march_readout(material, grid, pair):
+    """The measurement read off a forward march's x = 0 trace."""
+    trace = solve_forward(material, grid, pair.source, store_trajectory=False).left_trace
+    return windowed_trace_average(trace, pair.window(grid.t_nodes), material, grid)
+
+
+def assert_readouts_match_march(material, grid, pairs, rtol=1e-13):
+    measured = forward_map_batch(material, grid, pairs)
+    for value, pair in zip(measured, pairs):
+        expected = march_readout(material, grid, pair)
+        assert expected != 0.0
+        assert abs(value - expected) <= rtol * abs(expected)
+
+
+class TestReadoutAgainstMarch:
+    """Readouts from the boundary response against the march's left trace."""
+
+    def test_sweep_pairs(self, material_guess, grid, sweep_pairs):
+        assert_readouts_match_march(material_guess, grid, sweep_pairs)
+
+    def test_short_grid(self, material_guess, short_grid, short_pair):
+        assert short_grid.epsilon == 0.8
+        assert_readouts_match_march(material_guess, short_grid, [short_pair])
+
+    def test_small_epsilon_grid(self):
+        grid = reconstruction_grid(dt=0.0005, t_end=0.4, n_mu=16, epsilon=0.1)
+        assert grid.n_t == 801
+        material = build_material(ground_truth_tau(), default_g_star(), grid.omega_nodes)
+        pairs = [
+            SourceTestPair(BoundarySource(0.05, mu0, 2.0, (0.02, 0.1, 0.4)), center, 0.04)
+            for mu0, center in ((0.9, 0.2), (0.5, 0.25))
+        ]
+        assert_readouts_match_march(material, grid, pairs)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dx=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
+        n_mu=st.sampled_from([2, 4, 8]),
+        epsilon=st.floats(0.3, 1.0),
+        tau=st.floats(0.5, 2.0),
+        slope=st.floats(-0.5, 0.5),
+        center=st.floats(0.3, 0.6),
+        width=st.floats(0.02, 0.1),
+    )
+    def test_small_grids_with_callable_sources(
+        self, dx, n_mu, epsilon, tau, slope, center, width
+    ):
+        # center and width are fractions of the horizon, the last time node.
+        # 2.3 is the largest group speed on the band; c + r stays below 1.
+        dt = 0.4 * min(epsilon * dx / 2.3, 0.5 * epsilon**2 * tau)
+        grid = build_grid(GridConfig(
+            dt=dt, dx=dx, domega=1.0, n_mu=n_mu, t_end=0.9,
+            omega_min=1.0, omega_max=3.0, epsilon=epsilon,
+        ))
+        material = build_material(constant_tau(tau), default_g_star(), grid.omega_nodes)
+        material = material.with_tau(tau * (1.0 + 0.2 * slope * (grid.omega_nodes - 2.0)))
+
+        def phi(t, mu, omega):
+            return np.exp(-((t - 0.1) / 0.05) ** 2) * (1.0 + slope * mu) * (1.0 + 0.1 * omega)
+
+        horizon = grid.t_nodes[-1]
+        pair = SourceTestPair(source=phi, test_center=center * horizon, test_width=width * horizon)
+        assert_readouts_match_march(material, grid, [pair])
+
+    def test_nonfinite_inflow_names_the_step(self, material_guess, short_grid):
+        def poisoned(t, mu, omega):
+            shape = np.broadcast_shapes(np.shape(t), np.shape(mu), np.shape(omega))
+            return np.broadcast_to(np.where(np.asarray(t) >= 0.1, np.inf, 1.0), shape)
+
+        pair = SourceTestPair(source=poisoned, test_center=0.3, test_width=0.05, datum=0.0)
+        step = int(np.argmax(short_grid.t_nodes >= 0.1))
+        for fn in (forward_map, loss):
+            with pytest.raises(RuntimeError, match=f"step {step} "):
+                fn(material_guess, short_grid, pair)
+        with pytest.raises(RuntimeError, match=f"step {step} "):
+            solve_forward(material_guess, short_grid, poisoned)
 
 
 class TestGenerateData:

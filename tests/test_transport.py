@@ -18,13 +18,17 @@ from phonon_inverse.material import (
 )
 from phonon_inverse.transport import (
     BoundarySource,
+    _fold,
+    _step_tables,
+    _transposed_step,
+    boundary_response,
     gaussian_bump,
     gaussian_source,
     solve_adjoint,
     solve_forward,
     solve_forward_batch,
 )
-from transport_reference import reference_inflow, reference_march
+from transport_reference import reference_inflow, reference_march, reference_step
 
 BEAM = BoundarySource(t0=0.04, mu0=0.96, omega0=2.0, widths=(0.01, 0.01, 0.1))
 BEAM_ARRIVAL = 0.04 + 2.0 / (0.96 * 2.1)  # return time of the reflected pulse
@@ -519,3 +523,109 @@ class TestSolveAdjoint:
     def test_window_array_length_checked(self, grid, material):
         with pytest.raises(ValueError, match="time node"):
             solve_adjoint(material, grid, 1.0, np.ones(7))
+
+
+def unfold(state):
+    """The unfolded sheet of an (x, mu, omega) state; the inverse of ``_fold``."""
+    half = state.shape[1] // 2
+    return np.concatenate([state[:, half:], state[::-1, half - 1 :: -1]])
+
+
+class TestBoundaryResponse:
+    """The transposed march behind every readout."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        # Non-constant tau and v.
+        grid = build_grid(GridConfig(
+            dt=0.005, dx=0.05, domega=0.8, n_mu=8, t_end=0.5,
+            omega_min=0.4, omega_max=4.0,
+        ))
+        material = build_material(ground_truth_tau(), default_g_star(), grid.omega_nodes)
+        return grid, material
+
+    def test_unfold_inverts_fold(self, small):
+        grid, _ = small
+        state = np.random.default_rng(1).random((grid.n_x, grid.n_mu, grid.n_omega))
+        folded = np.empty_like(state)
+        _fold(unfold(state), folded)
+        np.testing.assert_array_equal(folded, state)
+
+    @pytest.mark.parametrize("dx", [0.05, 0.5, 1.0])
+    def test_one_step_transpose_identity(self, small, dx):
+        # <A d, l> = <d, A^T l> for one step with zero inflow, with arbitrary
+        # nonnegative d and l; dx = 1.0 leaves two x nodes, where the outflow
+        # copy reads the row the reflection wrote.
+        _, material = small
+        grid = build_grid(GridConfig(
+            dt=0.005, dx=dx, domega=0.8, n_mu=8, t_end=0.5,
+            omega_min=0.4, omega_max=4.0,
+        ))
+        rng = np.random.default_rng(7)
+        half = grid.n_mu // 2
+        shape = (grid.n_x, grid.n_mu, grid.n_omega)
+        tables = _step_tables(material, grid)
+        for _ in range(5):
+            delta, cotangent = rng.random(shape), rng.random(shape)
+            stepped = reference_step(delta, material, grid, np.zeros((half, grid.n_omega)))
+            transposed = np.empty((2 * grid.n_x, half, grid.n_omega))
+            _transposed_step(unfold(cotangent), transposed, tables, np.empty_like(transposed))
+            pulled = np.empty(shape)
+            _fold(transposed, pulled)
+            lhs = float(np.vdot(stepped, cotangent))
+            rhs = float(np.vdot(delta, pulled))
+            assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    def test_first_lag_is_the_readout_weight(self, small):
+        grid, material = small
+        response = boundary_response(material, grid)
+        half = grid.n_mu // 2
+        assert response.shape == (grid.n_t - 1, half, grid.n_omega)
+        np.testing.assert_array_equal(
+            response[0], grid.mu_omega_mean[half:] / mean_omega(material.h_star, grid)
+        )
+
+    def test_lags_match_the_march_of_a_single_kick(self, small):
+        # An inflow of one cell at step 1 only: the temperature at step 1 + k
+        # is that cell of g[k].
+        grid, material = small
+        half = grid.n_mu // 2
+        cell = (3, 2)
+        kick = np.zeros((grid.n_t, half, grid.n_omega))
+        kick[1][cell] = 1.0
+        states = reference_march(material, grid, kick)
+        temperature = temperature_of(states[:, 0], material, grid)
+        response = boundary_response(material, grid)
+        assert_close_to_reference(response[:, cell[0], cell[1]], temperature[1:], rtol=1e-13)
+
+    def test_memo_returns_the_same_array_for_an_equal_material(self, small):
+        grid, material = small
+        first = boundary_response(material, grid)
+        twin = build_material(ground_truth_tau(), default_g_star(), grid.omega_nodes)
+        assert twin is not material
+        assert boundary_response(twin, grid) is first
+
+    def test_memo_recomputes_for_another_tau_or_grid(self, small):
+        grid, material = small
+        first = boundary_response(material, grid)
+        other_tau = boundary_response(material.with_tau(material.tau * 1.01), grid)
+        assert other_tau is not first
+        assert not np.array_equal(other_tau, first)
+        twin_grid = build_grid(GridConfig(
+            dt=0.005, dx=0.05, domega=0.8, n_mu=8, t_end=0.5,
+            omega_min=0.4, omega_max=4.0,
+        ))
+        again = boundary_response(material, twin_grid)
+        assert again is not first
+        np.testing.assert_array_equal(again, first)
+
+    def test_result_is_read_only(self, small):
+        grid, material = small
+        response = boundary_response(material, grid)
+        assert not response.flags.writeable
+        with pytest.raises(ValueError):
+            response[0, 0, 0] = 1.0
+
+    def test_stability_checked(self, material):
+        with pytest.raises(ValueError, match="CFL"):
+            boundary_response(material, baseline_grid(dt=0.05, t_end=0.5, n_mu=8))

@@ -4,14 +4,16 @@ The solver marches the slab unfolded at its specular face; this module steps
 the same scheme the direct way, on a state laid out as (x, mu, omega), with
 the mu > 0 and mu < 0 halves upwinded from opposite sides and the boundary
 rules written as index reversals.  Only the density's summation order
-differs from the solver, so the two agree to rounding.
+differs from the solver, so the two agree to rounding.  It also keeps the
+measurement as it was read before the boundary response: the windowed
+average of a march's x = 0 temperature.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from phonon_inverse.collision import mean_omega
+from phonon_inverse.collision import mean_omega, temperature_of
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import BoundarySource, gaussian_source
@@ -29,6 +31,27 @@ def reference_inflow(
     return phi / material.tau
 
 
+def reference_step(
+    state: FloatArray, material: MaterialModel, grid: PhaseGrid, inflow_row: FloatArray
+) -> FloatArray:
+    """One step from ``state`` (n_x, n_mu, n_omega), writing ``inflow_row`` at x = 0."""
+    half = grid.n_mu // 2
+    dt, dx, epsilon = grid.dt, grid.dx, grid.epsilon
+    # Signed Courant numbers: positive for mu > 0, negative for mu < 0.
+    courant = (dt / (epsilon * dx)) * grid.mu_nodes[:, None] * material.velocity
+    relax_coef = dt / (epsilon**2 * material.tau)
+    h_star_mean = mean_omega(material.h_star, grid)
+    density = np.einsum("xmo,mo->x", state, grid.mu_omega_mean) / h_star_mean
+    new = ((density[:, None, None] * material.h_star - state) * relax_coef) + state
+    upwind = courant * (state[1:] - state[:-1])
+    new[1:, half:] -= upwind[:, half:]
+    new[:-1, :half] -= upwind[:, :half]
+    new[0, half:] = inflow_row
+    new[-1, :half] = new[-1, half:][::-1]
+    new[0, :half] = new[1, :half]
+    return new
+
+
 def reference_march(
     material: MaterialModel, grid: PhaseGrid, inflow: FloatArray
 ) -> FloatArray:
@@ -37,24 +60,22 @@ def reference_march(
     ``inflow`` holds the x = 0 values of the mu > 0 rows, shape
     (n_t, n_mu/2, n_omega), written after the step that lands on each node.
     """
-    n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
-    half = n_mu // 2
-    dt, dx, epsilon = grid.dt, grid.dx, grid.epsilon
-    # Signed Courant numbers: positive for mu > 0, negative for mu < 0.
-    courant = (dt / (epsilon * dx)) * grid.mu_nodes[:, None] * material.velocity
-    relax_coef = dt / (epsilon**2 * material.tau)
-    h_star_mean = mean_omega(material.h_star, grid)
-
-    values = np.zeros((n_t, n_x, n_mu, n_omega))
-    for n in range(1, n_t):
-        state = values[n - 1]
-        density = np.einsum("xmo,mo->x", state, grid.mu_omega_mean) / h_star_mean
-        new = ((density[:, None, None] * material.h_star - state) * relax_coef) + state
-        upwind = courant * (state[1:] - state[:-1])
-        new[1:, half:] -= upwind[:, half:]
-        new[:-1, :half] -= upwind[:, :half]
-        new[0, half:] = inflow[n]
-        new[-1, :half] = new[-1, half:][::-1]
-        new[0, :half] = new[1, :half]
-        values[n] = new
+    values = np.zeros((grid.n_t, grid.n_x, grid.n_mu, grid.n_omega))
+    for n in range(1, grid.n_t):
+        values[n] = reference_step(values[n - 1], material, grid, inflow[n])
     return values
+
+
+def windowed_trace_average(
+    left_trace: FloatArray,
+    window_values: FloatArray,
+    material: MaterialModel,
+    grid: PhaseGrid,
+) -> float:
+    """Time average of window * boundary temperature for one (n_t, n_mu, n_omega) trace.
+
+    The measurement read from a forward march's x = 0 trace, as the
+    readouts were computed before the boundary response replaced it.
+    """
+    boundary_temperature = temperature_of(left_trace, material, grid)
+    return float((boundary_temperature * window_values) @ grid.t_mean)

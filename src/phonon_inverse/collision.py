@@ -62,14 +62,3 @@ def apply_collision(
     """Relaxation operator on an h-formulation field: T[h] h* - h."""
     temperature = np.asarray(temperature_of(field, material, grid))
     return temperature[..., np.newaxis, np.newaxis] * material.h_star - field
-
-
-def weighted_inner(
-    a: FloatArray, b: FloatArray, material: MaterialModel, grid: PhaseGrid
-) -> FloatArray | float:
-    """The 1/h*-weighted inner product mean_{mu,omega}(a * b / h*).
-
-    The collision operator is self-adjoint and negative semidefinite in this
-    product; exposed for the tests and for diagnostics.
-    """
-    return mean_mu_omega(a * b / material.h_star, grid)

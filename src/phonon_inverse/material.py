@@ -146,21 +146,35 @@ class MaterialModel:
     h_star: FloatArray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("omega_nodes", "tau", "velocity", "g_star"):
+        names = ("omega_nodes", "tau", "velocity", "g_star")
+        for name in names:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # NaN passes every bound comparison below, so nonfinite values are
+        # refused first, with one check over all four tables; past it, the
+        # extremes decide each bound.
+        if not np.isfinite(
+            np.concatenate((self.omega_nodes, self.tau, self.velocity, self.g_star))
+        ).all():
+            for name in names:
+                bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+                if bad.size:
+                    raise ValueError(
+                        f"{name} = {getattr(self, name)[bad[0]]} at omega node {bad[0]} "
+                        "is not finite"
+                    )
         lo, hi = self.tau_bounds
-        if np.any(self.tau < lo) or np.any(self.tau > hi):
+        if self.tau.min() < lo or self.tau.max() > hi:
             i = int(np.argmax((self.tau < lo) | (self.tau > hi)))
             raise ValueError(
                 f"tau = {self.tau[i]} at omega = {self.omega_nodes[i]} violates the "
                 f"bounds [{lo}, {hi}]"
             )
-        if np.any(self.g_star <= 0.0):
+        if self.g_star.min() <= 0.0:
             i = int(np.argmax(self.g_star <= 0.0))
             raise ValueError(
                 f"g* = {self.g_star[i]} at omega = {self.omega_nodes[i]} must be positive"
             )
-        if np.any(self.velocity <= 0.0):
+        if self.velocity.min() <= 0.0:
             i = int(np.argmax(self.velocity <= 0.0))
             raise ValueError(
                 f"group speed {self.velocity[i]} at omega = {self.omega_nodes[i]} must be positive"

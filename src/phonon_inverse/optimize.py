@@ -193,6 +193,14 @@ def _finish_step(
     )
 
 
+def _require_finite_gradient(gradient: FloatArray, index: int, state: OptimizerState) -> None:
+    if not np.all(np.isfinite(gradient)):
+        raise RuntimeError(
+            f"nonfinite gradient for sample {index} at iteration {state.iteration + 1}; "
+            "aborting instead of stepping along it"
+        )
+
+
 def sgd_step_armijo(
     state: OptimizerState,
     objective,
@@ -212,6 +220,7 @@ def sgd_step_armijo(
         raise ValueError(f"c and alpha_max must be positive, got c={c}, alpha_max={alpha_max}")
     index = _draw_sample(state, objective)
     current_loss, gradient = objective.loss_and_gradient(state.tau, index)
+    _require_finite_gradient(gradient, index, state)
     gradient_norm_sq = float(gradient @ gradient)
     gradient_norm = math.sqrt(gradient_norm_sq)
 
@@ -276,11 +285,7 @@ def sgd_step_adagrad(
         raise ValueError(f"alpha and delta must be positive, got alpha={alpha}, delta={delta}")
     index = _draw_sample(state, objective)
     current_loss, gradient = objective.loss_and_gradient(state.tau, index)
-    if not np.all(np.isfinite(gradient)):
-        raise RuntimeError(
-            f"nonfinite gradient for sample {index} at iteration {state.iteration + 1}; "
-            "aborting instead of poisoning the accumulation matrix"
-        )
+    _require_finite_gradient(gradient, index, state)
     matrix = state.adagrad_matrix
     if matrix is None:
         matrix = np.zeros((state.tau.size, state.tau.size))

@@ -9,7 +9,10 @@ x = 0 for mu > 0, specular reflection at x = 1, and free outflow at x = 0 for
 mu < 0.  The adjoint problem runs backward in time from a zero terminal state
 with an inflow proportional to the measurement mismatch; substituting
 s = T - t and flipping the sign of mu turns it into the same forward-form
-system, so one stepping kernel serves both.
+system, so one stepping kernel serves both.  Both marches hold the slab
+unfolded at its specular face, and stored solves return their states in
+that sheet layout; the adjoint's sheets, rows reversed, line up cell for
+cell with the forward's, so the gradient pairs them without reordering.
 
 Measurements read only the x = 0 temperature.  The march is linear in its
 inflow, its coefficients do not change in time and it starts from zero, so
@@ -95,8 +98,13 @@ def gaussian_source(params: BoundarySource) -> SourceFunction:
 class Trajectory:
     """Solution stack over the time nodes, plus the x = 0 boundary trace.
 
-    ``values`` has shape (n_t, n_x, n_mu, n_omega); it is None when the solve
-    was asked to keep only the trace.  ``left_trace`` is the x = 0 slice,
+    ``values`` is the march's own stack of unfolded sheets (see
+    :func:`_integrate`), shape (n_t, 2 n_x, n_mu/2, n_omega); it is None when
+    the solve was asked to keep only the trace.  Row r < n_x of a sheet is
+    the state at (x_r, +|mu_c|) and row 2 n_x - 1 - r the state at
+    (x_r, -|mu_c|), with column c running over the mu > 0 nodes; for the
+    adjoint, whose march flips mu, it is the rows of ``values[n][::-1]`` that
+    read so.  ``left_trace`` is the x = 0 slice in (t, mu, omega) layout,
     shape (n_t, n_mu, n_omega).  The first time slice is the initial
     condition exactly (no boundary overwrite is applied at the starting
     instant).
@@ -230,18 +238,11 @@ def _step_tables(material: MaterialModel, grid: PhaseGrid) -> _StepTables:
     )
 
 
-def _fold(sheet: FloatArray, out: FloatArray, mirror: bool = False) -> None:
-    """Write an unfolded (2 n_x, n_mu/2, n_omega) sheet into (x, mu, omega) layout.
-
-    With ``mirror`` the direction cosine is negated on the way (mu -> -mu),
-    which is how the adjoint march's states become the adjoint field.
-    """
+def _fold(sheet: FloatArray, out: FloatArray) -> None:
+    """Write an unfolded (2 n_x, n_mu/2, n_omega) sheet into (x, mu, omega) layout."""
     n_x, half = out.shape[0], out.shape[1] // 2
-    rightward, leftward = out[:, half:], out[:, :half]
-    if mirror:
-        rightward, leftward = leftward[:, ::-1], rightward[:, ::-1]
-    rightward[...] = sheet[:n_x]
-    leftward[...] = sheet[: n_x - 1 : -1, ::-1]
+    out[:, half:] = sheet[:n_x]
+    out[:, :half] = sheet[: n_x - 1 : -1, ::-1]
 
 
 def _integrate(
@@ -270,9 +271,11 @@ def _integrate(
     per-step reductions; ``snapshot_steps`` requests full state copies at
     those step indices (a step may be asked for more than once);
     ``on_step(n, sheet)``, if given, sees each new unfolded sheet, which is
-    only valid during the call.  Every returned array is in (x, mu, omega)
-    layout: (trajectory or None, left trace, moments or None, snapshots or
-    None).
+    only valid during the call.  Returns (stack or None, left trace, moments
+    or None, snapshots or None).  With ``store_trajectory`` the march steps
+    straight through the slots of the (n_t, 2 n_x, n_mu/2, n_omega) stack:
+    slot n - 1 is the state and slot n the new state.  The left trace is in
+    (t, mu, omega) layout and the snapshots in (x, mu, omega) layout.
     """
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
@@ -285,12 +288,15 @@ def _integrate(
     courant, relax_coef, h_star = tables.courant, tables.relax, tables.h_star
     h_star_mean, density_weights = tables.h_star_mean, tables.density_weights
 
-    sheets = [np.zeros(sheet_shape), np.empty(sheet_shape)]
+    if store_trajectory:
+        sheets = np.empty((n_t, *sheet_shape))
+        sheets[0] = 0.0
+    else:
+        sheets = [np.zeros(sheet_shape), np.empty(sheet_shape)]
     upwind = np.empty((rows - 1, half, n_omega))
     row_sums = np.empty(rows)
     density = np.zeros(rows)
-    trajectory = np.zeros((n_t, *state_shape)) if store_trajectory else None
-    left = None if store_trajectory else np.zeros((n_t, n_mu, n_omega))
+    left = np.zeros((n_t, n_mu, n_omega))
 
     moments = None
     if moment_weights is not None:
@@ -307,7 +313,7 @@ def _integrate(
 
     state = sheets[0]
     for n in range(1, n_t):
-        new = sheets[n % 2]
+        new = sheets[n] if store_trajectory else sheets[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
         np.einsum("x,mo->xmo", density, h_star, out=new)
@@ -338,11 +344,8 @@ def _integrate(
                 f"(t = {grid.t_nodes[n]:.6g})"
             )
         density[n_x:] = density[n_x - 1 :: -1]
-        if store_trajectory:
-            _fold(new, trajectory[n])
-        else:
-            left[n, half:] = new[0]
-            left[n, :half] = new[-1, ::-1]
+        left[n, half:] = new[0]
+        left[n, :half] = new[-1, ::-1]
         if moments is not None:
             moments[n] = new[:n_x].reshape(n_x, -1) @ rightward_weights
             moments[n] += (new[n_x:].reshape(n_x, -1) @ leftward_weights)[::-1]
@@ -352,10 +355,8 @@ def _integrate(
             on_step(n, new)
         state = new
 
-    if store_trajectory:
-        left = trajectory[:, 0].copy()
     logger.debug("%s solve: %d steps, epsilon=%g", label, n_t - 1, grid.epsilon)
-    return trajectory, left, moments, snapshots
+    return (sheets if store_trajectory else None), left, moments, snapshots
 
 
 def _transposed_step(
@@ -412,11 +413,13 @@ def solve_forward(
     """Integrate the forward system for one boundary pulse.
 
     ``source`` is either a :class:`BoundarySource` or any callable
-    phi(t, mu, omega); the inflow rows are set to phi/tau.  With
-    ``store_trajectory=False`` only the x = 0 trace is kept, which is
-    enough to evaluate measurements and much cheaper in memory; streamed
-    ``moment_weights`` reductions and full-state ``snapshot_times`` copies
-    cover the diagnostic uses that would otherwise need the whole stack.
+    phi(t, mu, omega); the inflow rows are set to phi/tau.  A stored solve
+    returns the march's stack of unfolded sheets as ``values`` (see
+    :class:`Trajectory`).  With ``store_trajectory=False`` only the x = 0
+    trace is kept, which is enough to evaluate measurements and much
+    cheaper in memory; streamed ``moment_weights`` reductions and
+    full-state ``snapshot_times`` copies cover the diagnostic uses that
+    would otherwise need the whole stack.
     """
     _validate_stability(material, grid)
     inflow = _inflow_table(source, material, grid)
@@ -518,17 +521,20 @@ def solve_adjoint(
                           / (mu v tau * mean_omega h*),
 
     with specular reflection at x = 1.  Substituting s = T - t and mu -> -mu
-    maps this onto the forward-form system marched by the shared kernel; the
-    returned trajectory is re-indexed to forward time and the original mu
-    ordering, so ``values[n]`` is p at t_nodes[n].
+    maps this onto the forward-form system marched by the shared kernel.
+    The stored stack is returned re-indexed to forward time as a view, so
+    ``values[n]`` is the march's raw sheet of p at t_nodes[n]: because of
+    the mu flip, row r < n_x holds p(x_r, -|mu_c|) and row r >= n_x holds
+    p(x_{2 n_x - 1 - r}, +|mu_c|), so ``values[n][::-1]`` lines up cell for
+    cell with the forward stack's slot n.  ``left_trace`` is in forward time
+    and the original (mu, omega) layout.
 
     ``test_window`` holds the readout window's values on the time nodes;
     ``mismatch_value`` is the scalar measurement residual it multiplies.
-    ``on_step(n, p)``, if given, is called with p at t_nodes[n], shape
-    (n_x, n_mu, n_omega), for n from n_t - 2 down to 0 as the backward march
-    produces it; with ``store_trajectory=False`` this reduces the field
-    without keeping it.  ``p`` is one buffer refilled at every step, so a
-    callback that keeps a slice must copy it.
+    ``on_step(n, sheet)``, if given, is called with that raw sheet at
+    t_nodes[n], for n from n_t - 2 down to 0 as the backward march produces
+    it; with ``store_trajectory=False`` this reduces the field without
+    keeping it.  The sheet is only valid during the call.
     """
     _validate_stability(material, grid)
     window = np.asarray(test_window, dtype=float)
@@ -556,17 +562,15 @@ def solve_adjoint(
     reversed_step = None
     if on_step is not None:
         last = grid.n_t - 1
-        field = np.empty((grid.n_x, grid.n_mu, grid.n_omega))
 
         def reversed_step(s: int, sheet: FloatArray) -> None:
-            _fold(sheet, field, mirror=True)
-            on_step(last - s, field)
+            on_step(last - s, sheet)
 
     values, left, _, _ = _integrate(
         material, grid, inflow, store_trajectory, label="adjoint",
         on_step=reversed_step,
     )
-    if values is not None:
-        values = values[::-1, :, ::-1, :].copy()
-    left = left[::-1, ::-1, :].copy()
-    return Trajectory(values=values, left_trace=left)
+    return Trajectory(
+        values=None if values is None else values[::-1],
+        left_trace=left[::-1, ::-1, :].copy(),
+    )

@@ -20,7 +20,6 @@ from phonon_inverse.collision import (
     apply_collision,
     mean_mu_omega,
     temperature_of,
-    weighted_inner,
 )
 from phonon_inverse.diagnostics import (
     bulk_kappa,
@@ -56,6 +55,7 @@ from phonon_inverse.optimize import (
     run_sgd,
 )
 from phonon_inverse.transport import BoundarySource, gaussian_source, solve_forward
+from diagnostics_reference import weighted_inner
 
 RNG_SEED = 20260825
 

@@ -10,7 +10,6 @@ from phonon_inverse.collision import (
     mean_mu_omega,
     mean_omega,
     temperature_of,
-    weighted_inner,
 )
 from phonon_inverse.grid import GridConfig, PhaseGrid, build_grid
 from phonon_inverse.material import (
@@ -20,6 +19,7 @@ from phonon_inverse.material import (
     default_g_star,
     ground_truth_tau,
 )
+from diagnostics_reference import weighted_inner
 
 
 @pytest.fixture(scope="module")

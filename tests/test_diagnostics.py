@@ -13,10 +13,7 @@ from phonon_inverse.diagnostics import (
     bulk_kappa,
     chapman_enskog_residual,
     compute_macro_trace,
-    heat_flux,
-    macro_trace_from_values,
     settled_kappa,
-    solve_heat_reference,
     to_g,
     write_macro_trace_csv,
 )
@@ -27,6 +24,8 @@ from phonon_inverse.material import (
     ground_truth_tau,
 )
 from phonon_inverse.transport import BoundarySource, solve_forward
+from diagnostics_reference import heat_flux, macro_trace_from_values, solve_heat_reference
+from transport_reference import fold
 
 BEAM = BoundarySource(t0=0.04, mu0=0.96, omega0=2.0, widths=(0.01, 0.01, 0.1))
 
@@ -69,9 +68,9 @@ def material(grid):
 
 @pytest.fixture(scope="module")
 def short_run(material):
-    """A stored ballistic trajectory for moment cross-checks."""
+    """A stored ballistic trajectory, in (t, x, mu, omega) layout, for moment cross-checks."""
     g = baseline_grid(t_end=0.3)
-    return g, solve_forward(material, g, BEAM)
+    return g, fold(solve_forward(material, g, BEAM).values)
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +139,9 @@ class TestMacroTrace:
         )
 
     def test_streaming_matches_from_values(self, short_run, material):
-        g, traj = short_run
+        g, states = short_run
         streamed = compute_macro_trace(material, g, BEAM)
-        stored = macro_trace_from_values(traj.values, material, g)
+        stored = macro_trace_from_values(states, material, g)
         np.testing.assert_allclose(
             streamed.temperature, stored.temperature, rtol=1e-13, atol=1e-18
         )
@@ -153,41 +152,41 @@ class TestMacroTrace:
         np.testing.assert_array_equal(
             streamed.kappa_defined, stored.kappa_defined
         )
-        np.testing.assert_array_equal(streamed.final_h, traj.values[-1])
+        np.testing.assert_array_equal(streamed.final_h, states[-1])
 
     def test_temperature_matches_collision_moment(self, short_run, material):
-        g, traj = short_run
-        macro = macro_trace_from_values(traj.values, material, g)
+        g, states = short_run
+        macro = macro_trace_from_values(states, material, g)
         slice_index = g.n_t // 2
         np.testing.assert_allclose(
             macro.temperature[slice_index],
-            temperature_of(traj.values[slice_index], material, g),
+            temperature_of(states[slice_index], material, g),
             rtol=1e-13,
             atol=1e-18,
         )
 
     def test_flux_matches_heat_flux_helper(self, short_run, material):
-        g, traj = short_run
-        macro = macro_trace_from_values(traj.values, material, g)
+        g, states = short_run
+        macro = macro_trace_from_values(states, material, g)
         slice_index = g.n_t // 2
         np.testing.assert_allclose(
             macro.q[slice_index],
-            heat_flux(to_g(traj.values[slice_index], material), material, g),
+            heat_flux(to_g(states[slice_index], material), material, g),
             rtol=1e-13,
             atol=1e-18,
         )
 
     def test_gradient_column(self, short_run, material):
-        g, traj = short_run
-        macro = macro_trace_from_values(traj.values, material, g)
+        g, states = short_run
+        macro = macro_trace_from_values(states, material, g)
         np.testing.assert_array_equal(
             macro.dT_dx,
             np.gradient(macro.temperature, g.dx, axis=1, edge_order=2),
         )
 
     def test_kappa_equals_flux_gradient_ratio(self, short_run, material):
-        g, traj = short_run
-        macro = macro_trace_from_values(traj.values, material, g)
+        g, states = short_run
+        macro = macro_trace_from_values(states, material, g)
         defined = macro.kappa_defined
         assert defined.any()
         np.testing.assert_allclose(
@@ -488,9 +487,9 @@ class TestChapmanEnskogResidual:
 
 class TestCsvWriter:
     def test_round_trip(self, short_run, material, tmp_path):
-        g, traj = short_run
+        g, states = short_run
         macro = macro_trace_from_values(
-            traj.values[:4], material, g, t_nodes=g.t_nodes[:4]
+            states[:4], material, g, t_nodes=g.t_nodes[:4]
         )
         path = tmp_path / "macro.csv"
         write_macro_trace_csv(macro, path)

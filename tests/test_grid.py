@@ -203,12 +203,7 @@ def test_epsilon_lives_in_grid():
 
 # Exports that no module, demo or benchmark script reads, each kept for the
 # reason given.
-_UNCALLED_EXPORTS_KEPT = {
-    "weighted_inner": "acceptance item 01 checks the collision symmetry in this product",
-    "heat_flux": "the tests check the streamed flux moment against it",
-    "macro_trace_from_values": "the tests check compute_macro_trace against it",
-    "solve_heat_reference": "the tests check the diffusion limit against it",
-}
+_UNCALLED_EXPORTS_KEPT: dict[str, str] = {}
 
 
 def _referenced_names(path: Path) -> set[str]:

@@ -10,6 +10,7 @@ Frozen values below were measured once from this implementation at the stated
 settings and pinned as regressions.
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -17,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phonon_inverse import inverse
+from phonon_inverse.collision import mean_mu_omega, mean_omega
 from phonon_inverse.grid import GridConfig, build_grid
 from phonon_inverse.inverse import (
     SourceTestPair,
+    _InteriorSums,
     arrival_time,
     build_pair,
     central_difference,
@@ -43,8 +47,14 @@ from phonon_inverse.material import (
     ground_truth_tau,
     initial_guess_tau,
 )
-from phonon_inverse.transport import BoundarySource, solve_forward
-from transport_reference import windowed_trace_average
+from phonon_inverse.transport import (
+    BoundarySource,
+    boundary_response,
+    solve_adjoint,
+    solve_forward,
+    source_table,
+)
+from transport_reference import fold, windowed_trace_average
 
 DIRECTION_SEED = 20260825
 
@@ -315,6 +325,159 @@ class TestReadoutAgainstMarch:
                 fn(material_guess, short_grid, pair)
         with pytest.raises(RuntimeError, match=f"step {step} "):
             solve_forward(material_guess, short_grid, poisoned)
+
+
+def full_hankel_readout(response, pair, material, grid):
+    """The readout over every inflow row, as it was before the support cut."""
+    inflow = source_table(pair.source, grid)[1:] / material.tau
+    steps = grid.n_t - 1
+    weights = np.zeros(2 * steps)
+    weights[:steps] = (pair.window(grid.t_nodes) * grid.t_mean)[1:]
+    hankel = np.lib.stride_tricks.sliding_window_view(weights, steps)[:steps].copy()
+    lagged = hankel @ response.reshape(steps, -1)
+    return float(lagged.ravel() @ inflow.ravel())
+
+
+class TestReadoutSupport:
+    """Readouts over the pulse's time support against the full Hankel sum."""
+
+    def assert_matches_full(self, material, grid, pair, rtol=1e-14):
+        response = boundary_response(material, grid)
+        expected = full_hankel_readout(response, pair, material, grid)
+        assert expected != 0.0
+        assert abs(forward_map(material, grid, pair) - expected) <= rtol * abs(expected)
+
+    def test_sweep_pairs(self, material_guess, grid, sweep_pairs):
+        # Each sec52 pulse's inflow is exactly zero outside 97 of 330 rows.
+        support = np.flatnonzero(source_table(sweep_pairs[0].source, grid)[1:].any(axis=(1, 2)))
+        assert support.size == 97
+        for pair in sweep_pairs:
+            self.assert_matches_full(material_guess, grid, pair)
+
+    def test_callable_source_with_full_support(self, material_guess, short_grid):
+        pair = SourceTestPair(
+            source=lambda t, mu, omega: (1.0 + t) * (1.0 + 0.5 * mu) / omega,
+            test_center=0.3,
+            test_width=0.05,
+        )
+        self.assert_matches_full(material_guess, short_grid, pair)
+
+    def test_all_zero_source_reads_zero(self, material_guess, grid):
+        pair = SourceTestPair(
+            source=lambda t, mu, omega: 0.0 * t * mu * omega, test_center=1.0, test_width=0.08,
+        )
+        response = boundary_response(material_guess, grid)
+        assert forward_map(material_guess, grid, pair) == 0.0
+        assert full_hankel_readout(response, pair, material_guess, grid) == 0.0
+
+
+class FoldedInteriorSums:
+    """The interior sums on (x, mu, omega) states, as they were before sheets.
+
+    Fed the folded forward state and the folded adjoint field, it is the
+    reference for the sheet-native :class:`phonon_inverse.inverse._InteriorSums`.
+    """
+
+    def __init__(self, material, grid, h_values):
+        self.grid = grid
+        self.h_values = h_values
+        self.scaled_h_star = np.broadcast_to(
+            material.h_star / mean_omega(material.h_star, grid), (grid.n_mu, grid.n_omega)
+        )
+        self.w_x_mu = np.outer(grid.x_mean, grid.mu_mean)
+        self.collision = np.zeros((grid.n_t, grid.n_omega))
+        self.equilibrium = np.zeros((grid.n_t, grid.n_omega))
+
+    def add(self, n, p):
+        h = self.h_values[n]
+        h_mean = mean_mu_omega(h, self.grid)
+        product = (h_mean[:, None, None] * self.scaled_h_star - h) * p
+        self.collision[n] = np.einsum("xm,xmo->o", self.w_x_mu, product)
+        self.equilibrium[n] = np.einsum("xm,x,xmo->o", self.w_x_mu, h_mean, p)
+
+
+def assert_interior_sums_match_folded(material, grid, pair, mismatch=1e-3, rtol=1e-13):
+    forward = solve_forward(material, grid, pair.source)
+    sheets = _InteriorSums(material, grid, forward.values)
+    folded = FoldedInteriorSums(material, grid, fold(forward.values))
+
+    def both(n, sheet):
+        sheets.add(n, sheet)
+        folded.add(n, fold(sheet[::-1]))
+
+    solve_adjoint(
+        material, grid, mismatch, pair.window(grid.t_nodes), store_trajectory=False,
+        on_step=both,
+    )
+    for name in ("collision", "equilibrium"):
+        actual, expected = getattr(sheets, name), getattr(folded, name)
+        scale = np.abs(expected).max()
+        assert scale > 0.0
+        assert np.abs(actual - expected).max() <= rtol * scale, name
+
+
+class TestInteriorSumsOnSheets:
+    """The sheet-native interior sums against the (x, mu, omega) reference."""
+
+    def test_sec52_pair(self, material_guess, grid, sweep_pairs):
+        assert (grid.n_t, grid.n_x, grid.n_mu, grid.n_omega) == (331, 51, 64, 10)
+        assert_interior_sums_match_folded(material_guess, grid, sweep_pairs[3])
+
+    def test_two_x_nodes(self, material_guess):
+        # dx = 1.0: each x node's two rows sit next to each other at the
+        # reflecting face, and the row reversal swaps them.
+        grid = reconstruction_grid(dx=1.0, t_end=0.5, n_mu=8)
+        assert grid.n_x == 2
+        pair = SourceTestPair(BoundarySource(0.05, 0.9, 2.0, (0.02, 0.05, 0.3)), 0.3, 0.05)
+        assert_interior_sums_match_folded(material_guess, grid, pair)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dx=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
+        n_mu=st.sampled_from([2, 4, 8]),
+        epsilon=st.floats(0.3, 1.0),
+        tau=st.floats(0.5, 2.0),
+        slope=st.floats(-0.5, 0.5),
+        mismatch=st.floats(-2.0, 2.0).filter(lambda m: abs(m) > 1e-3),
+    )
+    def test_small_grids(self, dx, n_mu, epsilon, tau, slope, mismatch):
+        # 2.3 is the largest group speed on the band; c + r stays below 1.
+        dt = 0.4 * min(epsilon * dx / 2.3, 0.5 * epsilon**2 * tau)
+        grid = build_grid(GridConfig(
+            dt=dt, dx=dx, domega=1.0, n_mu=n_mu, t_end=0.9,
+            omega_min=1.0, omega_max=3.0, epsilon=epsilon,
+        ))
+        material = build_material(constant_tau(tau), default_g_star(), grid.omega_nodes)
+        material = material.with_tau(tau * (1.0 + 0.2 * slope * (grid.omega_nodes - 2.0)))
+
+        def phi(t, mu, omega):
+            return np.exp(-((t - 0.1) / 0.05) ** 2) * (1.0 + slope * mu) * (1.0 + 0.1 * omega)
+
+        horizon = grid.t_nodes[-1]
+        pair = SourceTestPair(source=phi, test_center=0.5 * horizon, test_width=0.1 * horizon)
+        assert_interior_sums_match_folded(material, grid, pair, mismatch)
+
+
+class TestObservability:
+    def test_one_stored_forward_and_one_streamed_adjoint(
+        self, material_guess, short_grid, short_pair, monkeypatch
+    ):
+        # perfbench times the gradient path by wrapping these two names in
+        # inverse; its per-solve metrics assume exactly this pattern.
+        calls = []
+
+        def recording(name, original):
+            def wrapper(*args, **kwargs):
+                bound = inspect.signature(original).bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.append((name, bound.arguments["store_trajectory"]))
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inverse, "solve_forward", recording("forward", solve_forward))
+        monkeypatch.setattr(inverse, "solve_adjoint", recording("adjoint", solve_adjoint))
+        loss_and_gradient(material_guess, short_grid, short_pair)
+        assert calls == [("forward", True), ("adjoint", False)]
 
 
 class TestGenerateData:

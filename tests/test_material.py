@@ -164,6 +164,25 @@ class TestBuildMaterial:
         assert speed == pytest.approx(np.max(np.abs(grid.mu_nodes)) * 2.42, rel=1e-14)
         assert speed < 2.42
 
+    @pytest.mark.parametrize("name", ["omega_nodes", "tau", "velocity", "g_star"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_coefficient_names_the_node(self, name, bad):
+        # NaN passes both tau bound comparisons; it must not reach a solve.
+        tables = dict(
+            omega_nodes=[1.0, 2.0, 3.0], tau=[1.0, 1.5, 2.0],
+            velocity=[2.0, 1.8, 1.6], g_star=[1.0, 0.8, 0.6],
+        )
+        tables[name][1] = bad
+        with pytest.raises(ValueError, match=rf"{name} = {bad} at omega node 1 is not finite"):
+            MaterialModel(**tables)
+
+    def test_with_tau_refuses_nan(self):
+        material = build_material(ground_truth_tau(), default_g_star(), OMEGA_NODES)
+        tau = material.tau.copy()
+        tau[4] = np.nan
+        with pytest.raises(ValueError, match="tau = nan at omega node 4"):
+            material.with_tau(tau)
+
     def test_direct_construction_coerces_lists(self):
         material = MaterialModel(
             omega_nodes=[1.0, 2.0],

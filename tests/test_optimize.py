@@ -140,6 +140,23 @@ class TestArmijoStep:
         np.testing.assert_array_equal(state.tau, [2.0])
         assert state.clamp_events == 1
 
+    def test_nan_gradient_aborts_before_the_line_search(self):
+        class NanGradientObjective(QuadraticObjective):
+            candidates = 0
+
+            def loss_and_gradient(self, tau, index):
+                value, gradient = super().loss_and_gradient(tau, index)
+                return value, gradient * np.nan
+
+            def clamp(self, tau):
+                self.candidates += 1
+                return super().clamp(tau)
+
+        objective = NanGradientObjective([np.ones(2)])
+        with pytest.raises(RuntimeError, match="nonfinite gradient for sample 0 at iteration 1"):
+            sgd_step_armijo(fresh_state(np.zeros(2), objective=objective), objective)
+        assert objective.candidates == 0
+
     @pytest.mark.parametrize("bad", [dict(c=0.0), dict(alpha_max=-1.0)])
     def test_rejects_nonpositive_constants(self, bad):
         objective = QuadraticObjective([np.ones(2)])

@@ -28,7 +28,13 @@ from phonon_inverse.transport import (
     solve_forward,
     solve_forward_batch,
 )
-from transport_reference import reference_inflow, reference_march, reference_step
+from transport_reference import (
+    fold,
+    reference_inflow,
+    reference_march,
+    reference_step,
+    unfold,
+)
 
 BEAM = BoundarySource(t0=0.04, mu0=0.96, omega0=2.0, widths=(0.01, 0.01, 0.1))
 BEAM_ARRIVAL = 0.04 + 2.0 / (0.96 * 2.1)  # return time of the reflected pulse
@@ -56,6 +62,12 @@ def material(grid):
 @pytest.fixture(scope="module")
 def beam_trajectory(grid, material):
     return solve_forward(material, grid, BEAM)
+
+
+@pytest.fixture(scope="module")
+def beam_states(beam_trajectory):
+    """The stored beam trajectory in (t, x, mu, omega) layout."""
+    return fold(beam_trajectory.values)
 
 
 class TestBoundarySource:
@@ -104,7 +116,7 @@ class TestSolveForward:
     def test_first_slice_is_initial_condition_exactly(self, beam_trajectory):
         assert np.all(beam_trajectory.values[0] == 0.0)
 
-    def test_inflow_rows_match_source(self, grid, material, beam_trajectory):
+    def test_inflow_rows_match_source(self, grid, material, beam_states):
         half = grid.n_mu // 2
         phi = gaussian_source(BEAM)
         n = 20  # t = 0.1, inside the injection window's tail
@@ -112,22 +124,23 @@ class TestSolveForward:
             phi(grid.t_nodes[n], grid.mu_nodes[half:, None], grid.omega_nodes)
             / material.tau
         )
-        np.testing.assert_array_equal(beam_trajectory.values[n, 0, half:, :], expected)
+        np.testing.assert_array_equal(beam_states[n, 0, half:, :], expected)
 
-    def test_reflection_rows_are_mirror_images(self, grid, beam_trajectory):
+    def test_reflection_rows_are_mirror_images(self, grid, beam_states):
         half = grid.n_mu // 2
-        slab = beam_trajectory.values[:, -1]
+        slab = beam_states[:, -1]
         np.testing.assert_array_equal(slab[:, :half], slab[:, half:][:, ::-1])
 
-    def test_outflow_rows_copy_interior(self, grid, beam_trajectory):
+    def test_outflow_rows_copy_interior(self, grid, beam_states):
         half = grid.n_mu // 2
-        np.testing.assert_array_equal(
-            beam_trajectory.values[1:, 0, :half], beam_trajectory.values[1:, 1, :half]
-        )
+        np.testing.assert_array_equal(beam_states[1:, 0, :half], beam_states[1:, 1, :half])
 
-    def test_boundary_traces_match_trajectory(self, beam_trajectory):
-        np.testing.assert_array_equal(
-            beam_trajectory.left_trace, beam_trajectory.values[:, 0]
+    def test_boundary_traces_match_trajectory(self, beam_trajectory, beam_states):
+        np.testing.assert_array_equal(beam_trajectory.left_trace, beam_states[:, 0])
+
+    def test_stored_stack_is_the_sheet_layout(self, grid, beam_trajectory):
+        assert beam_trajectory.values.shape == (
+            grid.n_t, 2 * grid.n_x, grid.n_mu // 2, grid.n_omega
         )
 
     def test_traces_only_solve_matches_full(self, grid, material, beam_trajectory):
@@ -135,7 +148,7 @@ class TestSolveForward:
         assert lean.values is None
         np.testing.assert_array_equal(lean.left_trace, beam_trajectory.left_trace)
 
-    def test_snapshots_fill_every_requested_slot(self, grid, material, beam_trajectory):
+    def test_snapshots_fill_every_requested_slot(self, grid, material, beam_states):
         # 0.2004 rounds to the same node as 0.2, so three slots share node 40.
         lean = solve_forward(
             material, grid, BEAM, store_trajectory=False,
@@ -145,7 +158,7 @@ class TestSolveForward:
         assert lean.snapshot_times == tuple(float(grid.t_nodes[n]) for n in nodes)
         assert np.abs(lean.snapshots[0]).max() > 0.0
         for slot, n in zip(lean.snapshots, nodes):
-            np.testing.assert_array_equal(slot, beam_trajectory.values[n])
+            np.testing.assert_array_equal(slot, beam_states[n])
 
     def test_batch_matches_single_solves(self, material):
         grid = baseline_grid(t_end=0.5, n_mu=16)
@@ -167,26 +180,26 @@ class TestSolveForward:
         assert abs(peak_t - BEAM_ARRIVAL) <= 0.05
         assert abs(peak_t - 1.0321) <= 0.05
 
-    def test_causality_discrete_domain_of_influence(self, grid, beam_trajectory):
+    def test_causality_discrete_domain_of_influence(self, grid, beam_states):
         # The scheme moves information at most one cell per step, so the x=1
         # trace must be *bitwise* zero until the inflow has had n_x - 1 steps
         # to cross the slab.
         n_cross = grid.n_x - 1
-        assert np.all(beam_trajectory.values[: n_cross + 1, -1] == 0.0)
+        assert np.all(beam_states[: n_cross + 1, -1] == 0.0)
 
-    def test_causality_front_amplitude(self, grid, beam_trajectory):
+    def test_causality_front_amplitude(self, grid, beam_states):
         # The continuous front arrives at x=1 at t0 + 1/(mu0 v(omega0)) ~ 0.536;
         # the first-order scheme smears it, but well before the smeared foot
         # (t <= 0.30, measured margin) the trace is negligible relative to the
         # global solution scale.
-        scale = np.abs(beam_trajectory.values).max()
+        scale = np.abs(beam_states).max()
         early = grid.t_nodes <= 0.30
-        assert np.abs(beam_trajectory.values[early, -1]).max() <= 1e-9 * scale
+        assert np.abs(beam_states[early, -1]).max() <= 1e-9 * scale
 
-    def test_reflection_conserves_flux(self, grid, material, beam_trajectory):
+    def test_reflection_conserves_flux(self, grid, material, beam_states):
         half = grid.n_mu // 2
         w, mu = grid.mu_weights, grid.mu_nodes
-        right = beam_trajectory.values[:, -1]
+        right = beam_states[:, -1]
         incoming = np.einsum(
             "tmo,m,m,o->t", right[:, half:], w[half:], mu[half:], material.velocity,
         )
@@ -231,7 +244,7 @@ class TestSolveForward:
         traj = solve_forward(material, grid, BEAM)
         ix = int(np.argmin(np.abs(grid.x_nodes - 0.5)))
         imu = int(np.argmin(np.abs(grid.mu_nodes - 0.9675)))
-        slice_omega = traj.values[-1, ix, imu, :]
+        slice_omega = fold(traj.values[-1])[ix, imu, :]
         h_star = material.h_star
         coef = (slice_omega @ h_star) / (h_star @ h_star)
         deviation = np.linalg.norm(slice_omega - coef * h_star) / np.linalg.norm(
@@ -382,7 +395,7 @@ class TestAgainstReferenceMarch:
     def test_stored_values(self, small, reference):
         grid, material = small
         traj = solve_forward(material, grid, BEAM)
-        assert_close_to_reference(traj.values, reference)
+        assert_close_to_reference(traj.values, unfold(reference))
 
     def test_moments(self, small, reference):
         grid, material = small
@@ -422,11 +435,12 @@ class TestAgainstReferenceMarch:
         seen = {}
         solve_adjoint(
             material, grid, mismatch, window, store_trajectory=False,
-            on_step=lambda n, p: seen.setdefault(n, p.copy()),
+            on_step=lambda n, sheet: seen.setdefault(n, sheet.copy()),
         )
         assert sorted(seen) == list(range(last))
+        # Each raw sheet, rows reversed, folds to the adjoint field.
         assert_close_to_reference(
-            np.stack([seen[n] for n in range(last)]),
+            fold(np.stack([seen[n][::-1] for n in range(last)])),
             np.stack([backward[last - n][:, ::-1] for n in range(last)]),
         )
 
@@ -452,6 +466,11 @@ class TestSolveAdjoint:
     def window(grid, center=1.0, width=0.08):
         return gaussian_bump(grid.t_nodes - center, width)
 
+    @staticmethod
+    def field(traj):
+        """The stored adjoint field p in (t, x, mu, omega) layout."""
+        return fold(traj.values[:, ::-1])
+
     def test_zero_mismatch_gives_zero_field(self, grid, material):
         traj = solve_adjoint(material, grid, 0.0, self.window(grid))
         assert np.all(traj.values == 0.0)
@@ -476,12 +495,12 @@ class TestSolveAdjoint:
             / (mu_neg[:, None] * material.velocity * material.tau * h_star_mean)
         )
         np.testing.assert_allclose(
-            traj.values[n, 0, :half, :], expected, rtol=1e-13, atol=0
+            self.field(traj)[n, 0, :half, :], expected, rtol=1e-13, atol=0
         )
 
     def test_reflection_symmetry_at_right_wall(self, grid, material):
         traj = solve_adjoint(material, grid, 1.0, self.window(grid))
-        slab = traj.values[:, -1]
+        slab = self.field(traj)[:, -1]
         np.testing.assert_array_equal(slab[:, ::-1, :], slab)
 
     def test_domain_of_influence_backward(self, grid, material):
@@ -491,10 +510,11 @@ class TestSolveAdjoint:
         window_values = np.zeros(grid.n_t)
         window_values[-5:] = 1.0
         traj = solve_adjoint(material, grid, 1.0, window_values)
+        field = self.field(traj)
         for n in (grid.n_t - 60, grid.n_t - 120, grid.n_t - 200):
             reach = grid.n_t - 1 - n
             if reach < grid.n_x:
-                assert np.all(traj.values[n, reach + 1 :] == 0.0)
+                assert np.all(field[n, reach + 1 :] == 0.0)
         assert np.abs(traj.values).max() > 0.0
 
     def test_linearity_in_mismatch(self, material):
@@ -520,15 +540,17 @@ class TestSolveAdjoint:
         assert streamed.values is None
         np.testing.assert_array_equal(streamed.left_trace, stored.left_trace)
 
+    def test_stored_stack_is_a_reversed_view(self, material):
+        # Re-indexing the march's stack to forward time copies nothing.
+        grid = baseline_grid(t_end=0.2, n_mu=8)
+        traj = solve_adjoint(material, grid, 1.0, self.window(grid, center=0.1, width=0.02))
+        assert traj.values.base is not None
+        assert traj.values.strides[0] < 0
+        assert traj.values.shape == (grid.n_t, 2 * grid.n_x, grid.n_mu // 2, grid.n_omega)
+
     def test_window_array_length_checked(self, grid, material):
         with pytest.raises(ValueError, match="time node"):
             solve_adjoint(material, grid, 1.0, np.ones(7))
-
-
-def unfold(state):
-    """The unfolded sheet of an (x, mu, omega) state; the inverse of ``_fold``."""
-    half = state.shape[1] // 2
-    return np.concatenate([state[:, half:], state[::-1, half - 1 :: -1]])
 
 
 class TestBoundaryResponse:
@@ -550,6 +572,7 @@ class TestBoundaryResponse:
         folded = np.empty_like(state)
         _fold(unfold(state), folded)
         np.testing.assert_array_equal(folded, state)
+        np.testing.assert_array_equal(fold(unfold(state)), state)
 
     @pytest.mark.parametrize("dx", [0.05, 0.5, 1.0])
     def test_one_step_transpose_identity(self, small, dx):

@@ -4,9 +4,11 @@ The solver marches the slab unfolded at its specular face; this module steps
 the same scheme the direct way, on a state laid out as (x, mu, omega), with
 the mu > 0 and mu < 0 halves upwinded from opposite sides and the boundary
 rules written as index reversals.  Only the density's summation order
-differs from the solver, so the two agree to rounding.  It also keeps the
-measurement as it was read before the boundary response: the windowed
-average of a march's x = 0 temperature.
+differs from the solver, so the two agree to rounding.  :func:`unfold` and
+:func:`fold` convert between that layout and the solver's sheets, in which
+stored trajectories are returned.  It also keeps the measurement as it was
+read before the boundary response: the windowed average of a march's x = 0
+temperature.
 """
 
 from __future__ import annotations
@@ -17,6 +19,26 @@ from phonon_inverse.collision import mean_omega, temperature_of
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import BoundarySource, gaussian_source
+
+
+def unfold(states: FloatArray) -> FloatArray:
+    """The unfolded sheets (..., 2 n_x, n_mu/2, n_omega) of (..., n_x, n_mu, n_omega) states."""
+    half = states.shape[-2] // 2
+    return np.concatenate(
+        [states[..., half:, :], states[..., ::-1, half - 1 :: -1, :]], axis=-3
+    )
+
+
+def fold(sheets: FloatArray) -> FloatArray:
+    """The (..., n_x, n_mu, n_omega) states of unfolded sheets; the inverse of :func:`unfold`.
+
+    An adjoint sheet's rows run the other way: ``fold(sheets[..., ::-1, :, :])``
+    is the adjoint field.
+    """
+    n_x = sheets.shape[-3] // 2
+    return np.concatenate(
+        [sheets[..., : n_x - 1 : -1, ::-1, :], sheets[..., :n_x, :, :]], axis=-2
+    )
 
 
 def reference_inflow(

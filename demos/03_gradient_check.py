@@ -3,10 +3,12 @@ Adjoint gradient vs finite differences
 ======================================
 
 The loss of one pulse/readout experiment is differentiated with respect to
-the relaxation time two ways: the adjoint solve (two kinetic solves for the
-whole gradient) and a central finite difference along random directions
-(two solves per direction).  They agree to a few percent at the working
-resolution, and the discrepancy shrinks under grid refinement.
+the relaxation time two ways: the adjoint (reverse mode through the
+response march, one extra march for the whole gradient) and a central
+finite difference along random directions (two losses per direction).  The
+adjoint is the exact gradient of the discrete loss, so what separates the
+two is the central difference's own O(step^2) truncation: about 1e-5 at
+step 1e-3, and 100x less for each 10x smaller step.
 """
 
 import numpy as np
@@ -52,4 +54,4 @@ for k, direction in enumerate(directions):
     predicted = omega_inner(gradient, direction, grid)
     measured = fd_gradient_oracle(guess, grid, pair, direction, step=1e-3)
     rel = abs(predicted - measured) / abs(measured)
-    print(f"    {k}       {predicted:+.6e}      {measured:+.6e}     {rel:.4f}")
+    print(f"    {k}       {predicted:+.6e}      {measured:+.6e}     {rel:.2e}")

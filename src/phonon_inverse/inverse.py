@@ -8,23 +8,23 @@ temperature trace into a single scalar measurement.  The misfit between that
 scalar and a recorded datum defines a half-squared loss per experiment.
 
 Every measurement (data, losses, the total loss and the mismatch that seeds
-the adjoint) is read from the material's boundary response: one transposed
+the gradient) is read from the material's boundary response: one transposed
 march gives the x = 0 temperature's sensitivity to the inflow at every time
 lag, and each experiment's readout is then one dense sum of its inflow
 table against the windowed lags, over the time nodes where the pulse's
 inflow is nonzero.  No forward march is needed for a loss.
 
 The loss gradient with respect to the relaxation-time profile tau(omega) is
-assembled from one forward solve and one adjoint solve.  Perturbing tau moves
-the solution through three routes — the inflow boundary value phi/tau, the
-collision strength 1/tau, and the equilibrium direction h* = g*/tau — and each
-route contributes paired terms below (boundary, interior-collision, and
-equilibrium-shift).  The interior terms are summed on the marches' own
-unfolded sheets, so neither solve reorders its states.  The result is a
-nodal gradient vector g such that the directional derivative of the loss
-along a tau-perturbation d equals the frequency-grid pairing
+reverse mode through that same computation, so it is the exact gradient of
+the discrete loss.  tau enters in three places: the inflow phi/tau, the
+readout's normalization by mean_omega h*, and the step itself through the
+relaxation number r = dt / (epsilon^2 tau) and h* = g*/tau.  The first two
+are closed-form; the step's share pairs each state of one adjoint march
+with the cotangent sheet the response march kept for that lag.  The result
+is a nodal gradient vector g such that the directional derivative of the
+loss along a tau-perturbation d equals the frequency-grid pairing
 ``omega_inner(g, d)``; a centered finite-difference oracle cross-checks that
-pairing.
+pairing to its own O(step^2) truncation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from phonon_inverse.collision import mean_mu_omega, mean_omega
+from phonon_inverse.collision import mean_omega
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import (
@@ -43,8 +43,7 @@ from phonon_inverse.transport import (
     boundary_response,
     gaussian_bump,
     solve_adjoint,
-    solve_forward,
-    source_table,
+    source_values,
 )
 
 # Draws gradient_aligned_directions makes before it gives up on min_cos.
@@ -141,40 +140,62 @@ def frequency_sweep_pairs(
     ]
 
 
-def _readout(
-    response: FloatArray,
-    pair: SourceTestPair,
-    material: MaterialModel,
-    grid: PhaseGrid,
-) -> float:
-    """Time average of window * boundary temperature, from the boundary response.
+def _support_rows(
+    pair: SourceTestPair, material: MaterialModel, grid: PhaseGrid
+) -> tuple[FloatArray, FloatArray]:
+    """The Hankel rows and the inflow rows over the pulse's time support.
 
-    With N = n_t - 1, inflow u_m written at step m and weights
-    w_n = window(t_n) * t_mean_n, the measurement is
-
-        sum_{m=1..N} u_m . sum_{k=0..N-m} w_{m+k} g[k],
-
-    one (N x N Hankel) @ (N x n_mu/2 n_omega) product.  Only the rows m
-    where the inflow table has a nonzero entry are formed: the others
-    contribute exactly 0 (97 of 330 rows remain for a sec52 pulse).  Every
-    measurement goes through this one reduction, so synthetic data and the
-    losses that recompute them agree bit for bit.
+    With N = n_t - 1, inflow u_m = phi_m / tau written at step m and weights
+    w_n = window(t_n) * t_mean_n, Hankel row m holds w_{m + k} for the lags
+    k = 0 .. N - 1 (zero past the horizon).  Only the steps where u_m has a
+    nonzero entry are kept, 97 of 330 for a sec52 pulse; the others
+    contribute exactly 0.  phi's table is read as a view, neither copied
+    nor written, and only the kept rows are divided by tau.  A nonfinite
+    entry is nonzero, so the check on the kept rows covers the whole table.
     """
-    inflow = source_table(pair.source, grid)[1:] / material.tau
+    table = source_values(pair.source, grid)[1:]
+    support = np.flatnonzero(table.any(axis=(1, 2)))
+    inflow = table[support] / material.tau
     nonfinite = ~np.isfinite(inflow).all(axis=(1, 2))
     if nonfinite.any():
-        n = int(np.argmax(nonfinite)) + 1
+        n = int(support[np.argmax(nonfinite)]) + 1
         raise RuntimeError(
             f"forward readout met a nonfinite inflow at step {n} "
             f"(t = {grid.t_nodes[n]:.6g})"
         )
+    # A subnormal phi can divide to zero; such a row contributes nothing.
+    kept = inflow.any(axis=(1, 2))
+    if not kept.all():
+        support, inflow = support[kept], inflow[kept]
     steps = grid.n_t - 1
-    support = np.flatnonzero(inflow.any(axis=(1, 2)))
     weights = np.zeros(2 * steps)
     weights[:steps] = (pair.window(grid.t_nodes) * grid.t_mean)[1:]
     hankel = np.lib.stride_tricks.sliding_window_view(weights, steps)[support]
-    lagged = hankel @ response.reshape(steps, -1)
-    return float(lagged.ravel() @ inflow[support].ravel())
+    return hankel, inflow
+
+
+def _readout(response: FloatArray, hankel: FloatArray, inflow: FloatArray) -> float:
+    """Time average of window * boundary temperature, from the boundary response.
+
+    The measurement is sum_m u_m . sum_k w_{m+k} g[k] over the support rows
+    of :func:`_support_rows`, one (Hankel) @ (N x n_mu/2 n_omega) product.
+    Every measurement goes through this one reduction, so synthetic data and
+    the losses that recompute them agree bit for bit.
+    """
+    lagged = hankel @ response.reshape(response.shape[0], -1)
+    return float(lagged.ravel() @ inflow.ravel())
+
+
+def _measure(
+    material: MaterialModel,
+    grid: PhaseGrid,
+    pair: SourceTestPair,
+    keep_stack: bool = False,
+) -> float:
+    """One readout; losses keep the response's stack for the gradient that follows."""
+    _require_window_fit(pair, grid)
+    response = boundary_response(material, grid, keep_stack)
+    return _readout(response, *_support_rows(pair, material, grid))
 
 
 def forward_map(
@@ -183,8 +204,7 @@ def forward_map(
     pair: SourceTestPair,
 ) -> float:
     """The scalar measurement: window-averaged boundary temperature at x = 0."""
-    _require_window_fit(pair, grid)
-    return _readout(boundary_response(material, grid), pair, material, grid)
+    return _measure(material, grid, pair)
 
 
 def forward_map_batch(
@@ -192,11 +212,8 @@ def forward_map_batch(
     grid: PhaseGrid,
     pairs: Sequence[SourceTestPair],
 ) -> FloatArray:
-    """Measurements for several experiments; each equals :func:`forward_map` bit for bit."""
-    for pair in pairs:
-        _require_window_fit(pair, grid)
-    response = boundary_response(material, grid)
-    return np.array([_readout(response, pair, material, grid) for pair in pairs])
+    """Measurements for several experiments, one :func:`forward_map` each."""
+    return np.array([forward_map(material, grid, pair) for pair in pairs])
 
 
 def generate_data(
@@ -224,7 +241,7 @@ def loss(
 ) -> tuple[float, float]:
     """Half-squared misfit and its signed mismatch: (l^2 / 2, l)."""
     datum = _require_datum(pair)
-    mismatch = forward_map(material, grid, pair) - datum
+    mismatch = _measure(material, grid, pair, keep_stack=True) - datum
     return 0.5 * mismatch * mismatch, mismatch
 
 
@@ -235,7 +252,8 @@ def total_loss(
 ) -> float:
     """Mean of the per-experiment losses over the whole collection."""
     data = np.array([_require_datum(pair) for pair in pairs])
-    mismatches = forward_map_batch(material, grid, pairs) - data
+    measured = [_measure(material, grid, pair, keep_stack=True) for pair in pairs]
+    mismatches = np.array(measured) - data
     return float(np.mean(0.5 * mismatches**2))
 
 
@@ -249,139 +267,77 @@ def omega_norm(a: FloatArray, grid: PhaseGrid) -> float:
     return float(np.sqrt(omega_inner(a, a, grid)))
 
 
-class _InteriorSums:
-    """Per-time-node (x, mu) sums of the interior gradient terms, on sheets.
-
-    The backward adjoint march hands its raw sheet at t_n to :meth:`add`,
-    which pairs it with the forward stack's slot n; the adjoint field is
-    never stored.  The adjoint sheet reversed along its rows lines up cell
-    for cell with the forward sheet, and the weight W[r, c] =
-    x_mean[x(r)] mu_mean[|mu_c|] and the per-row (mu, omega) mean of h are
-    both palindromic in the row index, so only the product h p needs the
-    reversal.  Row n of each table is one time node; the terminal row stays
-    zero because p vanishes at the final time.
-    """
-
-    def __init__(self, material: MaterialModel, grid: PhaseGrid, h_sheets: FloatArray):
-        half = grid.n_mu // 2
-        self.h_sheets = h_sheets
-        self.density_weights = grid.mu_omega_mean[half:].ravel()
-        x_rows = np.concatenate((grid.x_mean, grid.x_mean[::-1]))
-        self.weights = np.outer(x_rows, grid.mu_mean[half:])
-        self.scaled_h_star = material.h_star / mean_omega(material.h_star, grid)
-        self.product = np.empty(h_sheets.shape[1:])
-        self.collision = np.zeros((grid.n_t, grid.n_omega))
-        self.equilibrium = np.zeros((grid.n_t, grid.n_omega))
-
-    def add(self, n: int, sheet: FloatArray) -> None:
-        h = self.h_sheets[n]
-        rows, n_omega = h.shape[0], h.shape[-1]
-        n_x = rows // 2
-        # The (mu, omega) mean of h per x node, as the march's density sums
-        # it, spread back over both rows of each node.
-        row_sums = h.reshape(rows, -1) @ self.density_weights
-        h_mean = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
-        weighted = self.weights * np.concatenate((h_mean, h_mean[::-1]))[:, None]
-        # relax[h] * p summed with W is (h* / mean_omega h*) times the
-        # equilibrium sum, minus the W-sum of h p.
-        self.equilibrium[n] = weighted.ravel() @ sheet.reshape(-1, n_omega)
-        np.multiply(h[::-1], sheet, out=self.product)
-        self.collision[n] = self.scaled_h_star * self.equilibrium[n] - (
-            self.weights.ravel() @ self.product.reshape(-1, n_omega)
-        )
-
-
-def _assemble_gradient(
-    material: MaterialModel,
-    grid: PhaseGrid,
-    phi_pos: FloatArray,
-    window_values: FloatArray,
-    mismatch: float,
-    h_left: FloatArray,
-    p_left: FloatArray,
-    interior: _InteriorSums,
-) -> FloatArray:
-    """Combine the boundary traces and the interior sums into the nodal gradient.
-
-    Boundary terms (inflow sensitivity): the readout's direct dependence on
-    phi/tau, the equilibrium normalization's shift of the temperature trace,
-    and the adjoint-weighted inflow flux, from the x = 0 traces ``h_left``
-    and ``p_left``.  Interior terms: the collision operator's 1/tau strength
-    and the two-sided shift of the equilibrium direction h* = g*/tau.
-    """
-    half = grid.n_mu // 2
-    tau = material.tau
-    h_star = material.h_star
-    h_star_mean = float(mean_omega(h_star, grid))
-    epsilon = grid.epsilon
-
-    w_t = grid.t_mean
-    w_mu_pos = grid.mu_weights[half:]
-    mu_pos = grid.mu_nodes[half:]
-
-    # Readout sensitivity through the boundary data and the temperature
-    # normalization (no adjoint needed for these two).
-    inflow_avg = np.einsum("t,tmo,m->o", w_t * window_values, phi_pos, w_mu_pos)
-    trace_mean = mean_mu_omega(h_left, grid) @ (w_t * window_values)
-
-    # Adjoint-weighted inflow flux at x = 0 over the rightward directions.
-    adjoint_flux = material.velocity * np.einsum(
-        "t,tmo,tmo,m->o", w_t, phi_pos, p_left[:, half:, :], w_mu_pos * mu_pos
-    )
-
-    collision_term = w_t @ interior.collision
-    equilibrium_term = w_t @ interior.equilibrium
-    # The (mu, omega) mean of p paired with mean h, summed over (t, x), is the
-    # omega mean of the equilibrium term.
-    normalization_term = float(mean_omega(equilibrium_term, grid))
-
-    gradient = (
-        -(mismatch / (2.0 * tau**2 * h_star_mean)) * inflow_avg
-        + (mismatch * trace_mean / (tau * h_star_mean**2)) * h_star
-        + adjoint_flux / (2.0 * epsilon * tau * h_star)
-        + collision_term / (epsilon**2 * tau * h_star)
-        + equilibrium_term / (epsilon**2 * tau * h_star_mean)
-        - (normalization_term / (epsilon**2 * tau * h_star_mean**2)) * h_star
-    )
-    # The gradient is a density against the raw channel weights: pairing it
-    # with a perturbation through omega_inner must reproduce the loss
-    # derivative, so the global prefactor is one over the discrete band
-    # measure (the weight sum), not the geometric span.
-    return gradient / grid.omega_weights.sum()
-
-
 def loss_and_gradient(
     material: MaterialModel,
     grid: PhaseGrid,
     pair: SourceTestPair,
 ) -> tuple[float, float, FloatArray]:
-    """One forward and one adjoint solve: (loss, mismatch, gradient).
+    """(loss, mismatch, gradient), the gradient exact for the discrete loss.
 
-    The mismatch is read as every measurement is, from the boundary
-    response, before the forward trajectory is allocated.  The forward
-    trajectory is stored as the march's stack of sheets; the adjoint is
-    reduced against it sheet by sheet as it is marched, so only one
-    trajectory is held.  The gradient lives on the frequency nodes; pairing
-    it with a nodal tau-perturbation through :func:`omega_inner` gives the
-    directional derivative of the loss.
+    The mismatch is read as every measurement is, so the loss equals
+    :func:`loss` bit for bit.  The readout is y = sum_k c_k . g[k], with
+    c_k = sum_m w_{m+k} u_m the window-weighted inflow at lag k and g the
+    boundary response.  One adjoint march (:func:`solve_adjoint`) pairs its
+    states lambda_{k+1} with the response march's kept sheets B^T q_k into
+
+        T1 = sum lambda B^T q,   T2 = sum_rows D(lambda) sum_mu B^T q,
+
+    per omega, D being lambda's folded density before the division by
+    mean_omega h*.  With r = dt / (epsilon^2 tau), K = r h* / mean_omega h*
+    and s = omega_mean h* / (tau mean_omega h*), the derivative of the loss
+    is
+
+        (r/tau) T1 - (2K/tau) T2 + s (K . T2)
+            + mismatch (y s - sum_k c_k . g[k] / tau):
+
+    the step's relaxation strength, its equilibrium h*, the equilibrium's
+    normalization, the readout's normalization and the inflow phi/tau.  The
+    gradient lives on the frequency nodes; pairing it with a nodal
+    tau-perturbation through :func:`omega_inner` gives the directional
+    derivative of the loss.
     """
     _require_window_fit(pair, grid)
     datum = _require_datum(pair)
+    response = boundary_response(material, grid, keep_stack=True)
+    hankel, inflow = _support_rows(pair, material, grid)
+    measured = _readout(response, hankel, inflow)
+    mismatch = measured - datum
 
-    mismatch = forward_map(material, grid, pair) - datum
-    forward = solve_forward(material, grid, pair.source)
-    window_values = pair.window(grid.t_nodes)
-    interior = _InteriorSums(material, grid, forward.values)
-    adjoint = solve_adjoint(
-        material, grid, mismatch, window_values,
-        store_trajectory=False, on_step=interior.add,
+    _, half, n_omega = response.shape
+    lagged = (hankel.T @ inflow.reshape(-1, half * n_omega)).reshape(response.shape)
+    density_weights = grid.mu_omega_mean[half:].ravel()
+    collision = np.zeros(n_omega)
+    equilibrium = np.zeros(half * n_omega)
+
+    def pair_sheets(k: int, lam: FloatArray, cotangent: FloatArray) -> None:
+        nonlocal collision, equilibrium
+        rows = lam.shape[0]
+        n_x = rows // 2
+        collision += np.einsum(
+            "ij,ij->j", lam.reshape(-1, n_omega), cotangent.reshape(-1, n_omega)
+        )
+        row_sums = lam.reshape(rows, -1) @ density_weights
+        density = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
+        equilibrium += np.concatenate((density, density[::-1])) @ cotangent.reshape(rows, -1)
+
+    solve_adjoint(material, grid, mismatch, lagged, on_step=pair_sheets)
+
+    tau, h_star = material.tau, material.h_star
+    h_star_mean = mean_omega(h_star, grid)
+    relax = grid.dt / (grid.epsilon**2 * tau)
+    kernel = relax * h_star / h_star_mean
+    shift = grid.omega_mean * h_star / (tau * h_star_mean)
+    equilibrium_sum = equilibrium.reshape(half, n_omega).sum(axis=0)
+    inflow_sum = np.einsum(
+        "ij,ij->j", lagged.reshape(-1, n_omega), response.reshape(-1, n_omega)
     )
-    phi_pos = source_table(pair.source, grid)
-    gradient = _assemble_gradient(
-        material, grid, phi_pos, window_values, mismatch,
-        forward.left_trace, adjoint.left_trace, interior,
+    derivative = (
+        (relax / tau) * collision
+        - (2.0 * kernel / tau) * equilibrium_sum
+        + shift * float(kernel @ equilibrium_sum)
+        + mismatch * (measured * shift - inflow_sum / tau)
     )
-    return 0.5 * mismatch * mismatch, mismatch, gradient
+    return 0.5 * mismatch * mismatch, mismatch, derivative / grid.omega_weights
 
 
 def frechet_gradient(

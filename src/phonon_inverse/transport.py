@@ -6,13 +6,8 @@ Forward problem: in the scaled variables h = g/tau,
 
 on x in [0, 1], starting from h = 0, with Dirichlet inflow h = phi/tau at
 x = 0 for mu > 0, specular reflection at x = 1, and free outflow at x = 0 for
-mu < 0.  The adjoint problem runs backward in time from a zero terminal state
-with an inflow proportional to the measurement mismatch; substituting
-s = T - t and flipping the sign of mu turns it into the same forward-form
-system, so one stepping kernel serves both.  Both marches hold the slab
-unfolded at its specular face, and stored solves return their states in
-that sheet layout; the adjoint's sheets, rows reversed, line up cell for
-cell with the forward's, so the gradient pairs them without reordering.
+mu < 0.  The march holds the slab unfolded at its specular face, and stored
+solves return their states in that sheet layout.
 
 Measurements read only the x = 0 temperature.  The march is linear in its
 inflow, its coefficients do not change in time and it starts from zero, so
@@ -20,6 +15,12 @@ the temperature at step n is a sum over lags k of g[k] . inflow[n - k].
 :func:`boundary_response` computes g with one march of the step's exact
 transpose (the second kernel, sharing the first one's coefficient tables),
 and every readout of every source becomes a small dense sum.
+
+Gradients are reverse mode through that transposed march.  A readout is
+sum_k c_k . g[k] with c_k the window-weighted inflow at lag k; its adjoint
+is a plain forward march with inflow c, run by :func:`solve_adjoint`,
+whose states pair with the cotangent sheets the response march kept.  The
+gradient is therefore that of the discrete measurement, exact to rounding.
 
 Scheme: first-order upwind in x, forward Euler in t, explicit collision.
 Per (mu, omega) cell, with the Courant number c = dt |mu| v / (epsilon dx)
@@ -102,9 +103,8 @@ class Trajectory:
     :func:`_integrate`), shape (n_t, 2 n_x, n_mu/2, n_omega); it is None when
     the solve was asked to keep only the trace.  Row r < n_x of a sheet is
     the state at (x_r, +|mu_c|) and row 2 n_x - 1 - r the state at
-    (x_r, -|mu_c|), with column c running over the mu > 0 nodes; for the
-    adjoint, whose march flips mu, it is the rows of ``values[n][::-1]`` that
-    read so.  ``left_trace`` is the x = 0 slice in (t, mu, omega) layout,
+    (x_r, -|mu_c|), with column c running over the mu > 0 nodes.
+    ``left_trace`` is the x = 0 slice in (t, mu, omega) layout,
     shape (n_t, n_mu, n_omega).  The first time slice is the initial
     condition exactly (no boundary overwrite is applied at the starting
     instant).
@@ -156,10 +156,14 @@ def _validate_stability(material: MaterialModel, grid: PhaseGrid) -> None:
         )
 
 
-def source_table(
+def source_values(
     source: BoundarySource | SourceFunction, grid: PhaseGrid
 ) -> FloatArray:
-    """Evaluate phi on the inflow nodes (t, mu > 0, omega), shape (n_t, n_mu/2, n_omega)."""
+    """phi on the inflow nodes (t, mu > 0, omega), shape (n_t, n_mu/2, n_omega).
+
+    The result is a read-only view that may share memory with the array a
+    callable source returned; :func:`source_table` is its writable copy.
+    """
     phi = gaussian_source(source) if isinstance(source, BoundarySource) else source
     mu_pos = grid.mu_nodes[grid.n_mu // 2 :]
     values = phi(
@@ -169,7 +173,14 @@ def source_table(
     )
     return np.broadcast_to(
         np.asarray(values, dtype=float), (grid.n_t, mu_pos.size, grid.n_omega)
-    ).copy()
+    )
+
+
+def source_table(
+    source: BoundarySource | SourceFunction, grid: PhaseGrid
+) -> FloatArray:
+    """Evaluate phi on the inflow nodes (t, mu > 0, omega), shape (n_t, n_mu/2, n_omega)."""
+    return source_values(source, grid).copy()
 
 
 def _inflow_table(
@@ -458,24 +469,37 @@ def solve_forward_batch(
     ])
 
 
-# The last response computed: (grid, material key, response).  See
-# boundary_response.
-_last_response: tuple[PhaseGrid, tuple[bytes, ...], FloatArray] | None = None
+# The last response computed: (grid, material key, response, cotangent stack
+# or None).  See boundary_response.
+_last_response: (
+    tuple[PhaseGrid, tuple[bytes, ...], FloatArray, FloatArray | None] | None
+) = None
 
 
-def boundary_response(material: MaterialModel, grid: PhaseGrid) -> FloatArray:
+def boundary_response(
+    material: MaterialModel, grid: PhaseGrid, keep_stack: bool = False
+) -> FloatArray:
     """Sensitivity of the x = 0 temperature to the inflow at every time lag.
 
     Returns ``g`` of shape (n_t - 1, n_mu/2, n_omega): the temperature at
     step n is sum_k g[k] . inflow[n - k] over the inflow rows written at
     steps 1 .. n, exactly as :func:`solve_forward` marches it.  The march is
     linear in its inflow, its coefficients do not change in time and it
-    starts from zero, so ``g[k]`` is row 0 of k transposed steps applied to
-    the readout weights; one march serves every source and window.
+    starts from zero, so ``g[k]`` is row 0 of the cotangent q_k = (A^T)^k q_0,
+    where A is one step with zero inflow and q_0 holds the readout weights
+    on the two x = 0 rows; one march serves every source and window.
 
     The last result is kept: a call with the same grid object and a
     material with equal tau, velocity, g* and frequency nodes returns the
-    same read-only array.
+    same read-only array.  With ``keep_stack`` the march steps through the
+    slots of an (n_t - 1, 2 n_x, n_mu/2, n_omega) stack that the memo keeps
+    for :func:`solve_adjoint`: slot k ends up holding B^T q_k, the cotangent
+    with the step's boundary rules transposed, which is what the
+    transposed step leaves in its input (the last slot holds q_k itself).
+    A memo entry without a stack is marched again when one is asked for;
+    one with a stack serves every call.  Only one stack exists at a time:
+    a new march drops the memo's and reuses its buffer when the shape
+    matches.
     """
     global _last_response
     _validate_stability(material, grid)
@@ -483,23 +507,43 @@ def boundary_response(material: MaterialModel, grid: PhaseGrid) -> FloatArray:
         a.tobytes()
         for a in (material.tau, material.velocity, material.g_star, material.omega_nodes)
     )
-    if _last_response is not None and _last_response[0] is grid and _last_response[1] == key:
-        return _last_response[2]
+    stack = None
+    if _last_response is not None:
+        kept_grid, kept_key, response, stack = _last_response
+        if kept_grid is grid and kept_key == key and (stack is not None or not keep_stack):
+            return response
+        _last_response = None
 
     tables = _step_tables(material, grid)
-    cotangent = np.zeros((2 * grid.n_x, *tables.readout.shape))
+    steps, sheet_shape = grid.n_t - 1, (2 * grid.n_x, *tables.readout.shape)
+    if keep_stack:
+        if stack is None or stack.shape != (steps, *sheet_shape):
+            stack = np.empty((steps, *sheet_shape))
+        stack[0] = 0.0
+        sheets = stack
+    else:
+        # np.zeros, not np.empty and a fill: on a 2-core Xeon the fill left
+        # the sec52 march 10-15 ms slower whenever it followed an earlier
+        # material's readouts (allocator state; the cause was not pinned).
+        stack = None
+        sheets = [np.zeros(sheet_shape), np.empty(sheet_shape)]
+    scratch = np.empty(sheet_shape)
+    cotangent = sheets[0]
     cotangent[0] = tables.readout
     cotangent[-1] = tables.readout
-    spare, scratch = np.empty_like(cotangent), np.empty_like(cotangent)
-    response = np.empty((grid.n_t - 1, *tables.readout.shape))
+    response = np.empty((steps, *tables.readout.shape))
     response[0] = tables.readout
-    for k in range(1, grid.n_t - 1):
-        _transposed_step(cotangent, spare, tables, scratch)
-        response[k] = spare[0]
-        cotangent, spare = spare, cotangent
+    for k in range(1, steps):
+        new = sheets[k] if keep_stack else sheets[k % 2]
+        _transposed_step(cotangent, new, tables, scratch)
+        response[k] = new[0]
+        cotangent = new
     response.setflags(write=False)
-    _last_response = (grid, key, response)
-    logger.debug("boundary response: %d transposed steps", grid.n_t - 2)
+    _last_response = (grid, key, response, stack)
+    logger.debug(
+        "boundary response: %d transposed steps, stack %s",
+        steps - 1, "kept" if keep_stack else "not kept",
+    )
     return response
 
 
@@ -507,70 +551,47 @@ def solve_adjoint(
     material: MaterialModel,
     grid: PhaseGrid,
     mismatch_value: float,
-    test_window: FloatArray,
-    store_trajectory: bool = True,
-    on_step: Callable[[int, FloatArray], None] | None = None,
-) -> Trajectory:
-    """Integrate the adjoint system backward from a zero terminal state.
+    lagged_inflow: FloatArray,
+    on_step: Callable[[int, FloatArray, FloatArray], None] | None = None,
+) -> FloatArray:
+    """Reverse mode through the response march, seeded with the mismatch.
 
-    The adjoint field p satisfies, in forward time t,
+    A readout is y = sum_k c_k . g[k] over the lags k = 0 .. N - 1, with
+    N = n_t - 1 and c_k, ``lagged_inflow`` of shape (N, n_mu/2, n_omega),
+    the window-weighted inflow at lag k (see :func:`boundary_response`).
+    Writing E for the step's inflow write, y = <q_0, lambda_0> with
 
-        dp/dt + (mu v / epsilon) dp/dx = -relax[p] / (epsilon^2 tau),
-        p(T) = 0,
-        p(t, x=0, mu<0) = epsilon * mismatch * h* * window(t)
-                          / (mu v tau * mean_omega h*),
+        lambda_k = A lambda_{k+1} + E c_k,   lambda_N = 0,
 
-    with specular reflection at x = 1.  Substituting s = T - t and mu -> -mu
-    maps this onto the forward-form system marched by the shared kernel.
-    The stored stack is returned re-indexed to forward time as a view, so
-    ``values[n]`` is the march's raw sheet of p at t_nodes[n]: because of
-    the mu flip, row r < n_x holds p(x_r, -|mu_c|) and row r >= n_x holds
-    p(x_{2 n_x - 1 - r}, +|mu_c|), so ``values[n][::-1]`` lines up cell for
-    cell with the forward stack's slot n.  ``left_trace`` is in forward time
-    and the original (mu, omega) layout.
-
-    ``test_window`` holds the readout window's values on the time nodes;
-    ``mismatch_value`` is the scalar measurement residual it multiplies.
-    ``on_step(n, sheet)``, if given, is called with that raw sheet at
-    t_nodes[n], for n from n_t - 2 down to 0 as the backward march produces
-    it; with ``store_trajectory=False`` this reduces the field without
-    keeping it.  The sheet is only valid during the call.
+    a plain forward march from zero whose inflow at step n is c_{N - n}.
+    This march carries ``mismatch_value`` times that inflow, so its states
+    are the loss's cotangents.  The derivative of A lambda_{k+1} pairs with
+    B^T q_k, slot k of the stack the response march keeps, so
+    ``on_step(k, lam, cotangent)`` sees lambda_{k + 1} with that slot, for
+    k from N - 2 down to 0 (lambda_N is zero).  Both sheets are only valid
+    during the call.  The response is marched with its stack first unless
+    the memo already holds one.  Returns lambda_0.
     """
-    _validate_stability(material, grid)
-    window = np.asarray(test_window, dtype=float)
-    if window.shape != grid.t_nodes.shape:
+    half, n_omega = grid.n_mu // 2, grid.n_omega
+    steps = grid.n_t - 1
+    if lagged_inflow.shape != (steps, half, n_omega):
         raise ValueError(
-            f"test window must have one value per time node ({grid.n_t}), "
-            f"got shape {window.shape}"
+            f"lagged inflow must have one (mu, omega) slice per time lag, shape "
+            f"{(steps, half, n_omega)}, got {lagged_inflow.shape}"
         )
+    boundary_response(material, grid, keep_stack=True)
+    stack = _last_response[3]
+    inflow = np.empty((grid.n_t, half, n_omega))
+    inflow[0] = 0.0
+    np.multiply(mismatch_value, lagged_inflow[::-1], out=inflow[1:])
+    final = np.empty_like(stack[0])
 
-    half = grid.n_mu // 2
-    mu_pos = grid.mu_nodes[half:]
-    h_star_mean = mean_omega(material.h_star, grid)
-    # Inflow for the reversed system: at reversed time s the window is
-    # evaluated at T - s, i.e. the forward nodes in reverse order; the sign
-    # flip comes from writing the mu < 0 boundary value at -mu > 0.
-    profile = (
-        -grid.epsilon
-        * mismatch_value
-        / h_star_mean
-        * material.h_star
-        / (material.velocity * material.tau)
-        / mu_pos[:, None]
-    )
-    inflow = window[::-1, None, None] * profile
-    reversed_step = None
-    if on_step is not None:
-        last = grid.n_t - 1
+    def paired(n: int, sheet: FloatArray) -> None:
+        k = steps - 1 - n
+        if k < 0:
+            final[...] = sheet
+        elif on_step is not None:
+            on_step(k, sheet, stack[k])
 
-        def reversed_step(s: int, sheet: FloatArray) -> None:
-            on_step(last - s, sheet)
-
-    values, left, _, _ = _integrate(
-        material, grid, inflow, store_trajectory, label="adjoint",
-        on_step=reversed_step,
-    )
-    return Trajectory(
-        values=None if values is None else values[::-1],
-        left_trace=left[::-1, ::-1, :].copy(),
-    )
+    _integrate(material, grid, inflow, False, label="adjoint", on_step=paired)
+    return final

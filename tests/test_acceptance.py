@@ -290,9 +290,12 @@ class TestGradient:
         self, grid, star_material, guess_material, measured_pairs, guess_gradients
     ):
         """Adjoint directional derivatives agree with the central-difference
-        oracle within 5% for every pair in 3 conditioned directions; halving
-        the grid halves the worst disagreement; the gradient vanishes at the
-        ground truth."""
+        oracle within 5%, and within 1e-4, for every pair in 3 conditioned
+        directions; the gradient is exact for the discrete loss, so the
+        disagreement is the central difference's own O(step^2) truncation:
+        on the worst pair, on the baseline grid and on one with dx and dt
+        halved, a 10x smaller step shrinks it at least 50x; the gradient
+        vanishes at the ground truth."""
         worst = 0.0
         worst_pair = -1
         for i, (pair, gradient) in enumerate(zip(measured_pairs, guess_gradients)):
@@ -307,10 +310,22 @@ class TestGradient:
                 rel = abs(predicted - measured) / abs(measured)
                 if rel > worst:
                     worst, worst_pair = rel, i
-        agree_ok = worst <= 0.05
+        agree_ok = worst <= 0.05 and worst <= 1e-4
 
-        # Refinement on the worst pair: the disagreement is discretization
-        # error, so halving dx and dt must reduce it.
+        def step_gaps(guess, grid, pair, gradient):
+            """Worst disagreement over the pair's directions at steps 1e-3 and 1e-4."""
+            gaps = []
+            for step in (1e-3, 1e-4):
+                gap = 0.0
+                for direction in gradient_aligned_directions(
+                    gradient, grid, count=3, seed=RNG_SEED + worst_pair
+                ):
+                    predicted = omega_inner(gradient, direction, grid)
+                    measured = fd_gradient_oracle(guess, grid, pair, direction, step=step)
+                    gap = max(gap, abs(predicted - measured) / abs(measured))
+                gaps.append(gap)
+            return gaps
+
         fine_grid = baseline_grid(dt=0.0025, dx=0.01)
         fine_star = build_material(
             ground_truth_tau(), default_g_star(), fine_grid.omega_nodes
@@ -322,16 +337,11 @@ class TestGradient:
             fine_star, fine_grid, frequency_sweep_pairs(fine_star)
         )
         fine_gradient = frechet_gradient(fine_guess, fine_grid, fine_pairs[worst_pair])
-        fine_worst = 0.0
-        for direction in gradient_aligned_directions(
-            fine_gradient, fine_grid, count=3, seed=RNG_SEED + worst_pair
-        ):
-            predicted = omega_inner(fine_gradient, direction, fine_grid)
-            measured = fd_gradient_oracle(
-                fine_guess, fine_grid, fine_pairs[worst_pair], direction, step=1e-3
-            )
-            fine_worst = max(fine_worst, abs(predicted - measured) / abs(measured))
-        refine_ok = fine_worst < worst
+        base_gaps = step_gaps(
+            guess_material, grid, measured_pairs[worst_pair], guess_gradients[worst_pair]
+        )
+        fine_gaps = step_gaps(fine_guess, fine_grid, fine_pairs[worst_pair], fine_gradient)
+        step_ok = all(coarse >= 50.0 * fine for coarse, fine in (base_gaps, fine_gaps))
 
         # Stationarity: at the generating parameters every pair is matched
         # exactly, so the gradient scale collapses.
@@ -344,11 +354,12 @@ class TestGradient:
 
         report(
             "item 05 gradient vs finite differences",
-            agree_ok and refine_ok and stationary_ok,
-            f"worst relative disagreement {worst:.4f} (<= 0.05, pair {worst_pair}); "
-            f"refined-grid worst {fine_worst:.4f} < coarse {worst:.4f}; "
-            f"gradient norm at truth {star_scale:.2e} <= 1e-8 x guess scale "
-            f"{guess_scale:.2e}",
+            agree_ok and step_ok and stationary_ok,
+            f"worst relative disagreement {worst:.3g} (<= 0.05 and <= 1e-4, pair "
+            f"{worst_pair}); at steps 1e-3 / 1e-4: baseline grid {base_gaps[0]:.3g} / "
+            f"{base_gaps[1]:.3g}, refined grid {fine_gaps[0]:.3g} / {fine_gaps[1]:.3g} "
+            f"(>= 50x apart); gradient norm at truth {star_scale:.2e} <= 1e-8 x guess "
+            f"scale {guess_scale:.2e}",
         )
 
     def test_item_06_peak_alignment(self, grid, measured_pairs, guess_gradients):

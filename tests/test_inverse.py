@@ -10,7 +10,6 @@ Frozen values below were measured once from this implementation at the stated
 settings and pinned as regressions.
 """
 
-import inspect
 import time
 
 import numpy as np
@@ -18,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonon_inverse import inverse
-from phonon_inverse.collision import mean_mu_omega, mean_omega
+from phonon_inverse import inverse, transport
+from phonon_inverse.collision import mean_omega
 from phonon_inverse.grid import GridConfig, build_grid
 from phonon_inverse.inverse import (
     SourceTestPair,
-    _InteriorSums,
+    _support_rows,
     arrival_time,
     build_pair,
     central_difference,
@@ -54,7 +53,7 @@ from phonon_inverse.transport import (
     solve_forward,
     source_table,
 )
-from transport_reference import fold, windowed_trace_average
+from transport_reference import windowed_trace_average
 
 DIRECTION_SEED = 20260825
 
@@ -78,18 +77,19 @@ SWEEP_DATA = np.array([
 
 TOTAL_LOSS_AT_GUESS = 7.791386135607649e-13
 
-# Gradient of the pair-0 loss at the initial guess (one value per node).
+# Gradient of the pair-0 loss at the initial guess (one value per node): the
+# exact gradient of the discrete loss, by reverse mode.
 PAIR0_GRADIENT = np.array([
-    -1.3794811439768312e-11,
-    3.4440553582229123e-12,
-    3.4444172122585598e-12,
-    3.364959225800225e-12,
-    3.2196988307055237e-12,
-    3.0208176393999736e-12,
-    2.7827507460894314e-12,
-    2.520603765211816e-12,
-    2.248677326116504e-12,
-    1.9792803532345907e-12,
+    -1.3911046855477241e-11,
+    3.457721484660907e-12,
+    3.460683924268415e-12,
+    3.3836069670359885e-12,
+    3.2404746342608727e-12,
+    3.043417387969073e-12,
+    2.8068397765056768e-12,
+    2.5458316768719954e-12,
+    2.2746932516648813e-12,
+    2.0057522331524163e-12,
 ])
 
 
@@ -371,65 +371,75 @@ class TestReadoutSupport:
         assert full_hankel_readout(response, pair, material_guess, grid) == 0.0
 
 
-class FoldedInteriorSums:
-    """The interior sums on (x, mu, omega) states, as they were before sheets.
-
-    Fed the folded forward state and the folded adjoint field, it is the
-    reference for the sheet-native :class:`phonon_inverse.inverse._InteriorSums`.
-    """
-
-    def __init__(self, material, grid, h_values):
-        self.grid = grid
-        self.h_values = h_values
-        self.scaled_h_star = np.broadcast_to(
-            material.h_star / mean_omega(material.h_star, grid), (grid.n_mu, grid.n_omega)
-        )
-        self.w_x_mu = np.outer(grid.x_mean, grid.mu_mean)
-        self.collision = np.zeros((grid.n_t, grid.n_omega))
-        self.equilibrium = np.zeros((grid.n_t, grid.n_omega))
-
-    def add(self, n, p):
-        h = self.h_values[n]
-        h_mean = mean_mu_omega(h, self.grid)
-        product = (h_mean[:, None, None] * self.scaled_h_star - h) * p
-        self.collision[n] = np.einsum("xm,xmo->o", self.w_x_mu, product)
-        self.equilibrium[n] = np.einsum("xm,x,xmo->o", self.w_x_mu, h_mean, p)
+def fd_disagreements(material, grid, pair, gradient, directions, steps=(1e-3, 1e-4)):
+    """Worst relative gap between the gradient pairing and central differences, per step."""
+    worst = []
+    for step in steps:
+        gaps = [
+            abs(omega_inner(gradient, d, grid) - fd) / abs(fd)
+            for d in directions
+            for fd in [fd_gradient_oracle(material, grid, pair, d, step=step)]
+        ]
+        worst.append(max(gaps))
+    return worst
 
 
-def assert_interior_sums_match_folded(material, grid, pair, mismatch=1e-3, rtol=1e-13):
-    forward = solve_forward(material, grid, pair.source)
-    sheets = _InteriorSums(material, grid, forward.values)
-    folded = FoldedInteriorSums(material, grid, fold(forward.values))
-
-    def both(n, sheet):
-        sheets.add(n, sheet)
-        folded.add(n, fold(sheet[::-1]))
-
-    solve_adjoint(
-        material, grid, mismatch, pair.window(grid.t_nodes), store_trajectory=False,
-        on_step=both,
-    )
-    for name in ("collision", "equilibrium"):
-        actual, expected = getattr(sheets, name), getattr(folded, name)
-        scale = np.abs(expected).max()
-        assert scale > 0.0
-        assert np.abs(actual - expected).max() <= rtol * scale, name
+def assert_exact_to_truncation(material, grid, pair, bound=1e-4):
+    """The gap is the central difference's O(step^2) truncation: below
+    ``bound`` at step 1e-3, and about 100x smaller per 10x smaller step."""
+    gradient = frechet_gradient(material, grid, pair)
+    directions = aligned_directions(gradient, grid, count=2)
+    coarse, fine = fd_disagreements(material, grid, pair, gradient, directions)
+    assert coarse <= bound
+    assert fine <= coarse / 50.0 + 1e-10, (coarse, fine)
 
 
-class TestInteriorSumsOnSheets:
-    """The sheet-native interior sums against the (x, mu, omega) reference."""
+def test_rows_the_division_zeroes_are_dropped(short_grid):
+    # The smallest subnormal divided by tau > 2 rounds to 0: such rows leave
+    # the support, as they did when the divided table was searched.
+    material = build_material(constant_tau(2.5), default_g_star(), short_grid.omega_nodes)
 
-    def test_sec52_pair(self, material_guess, grid, sweep_pairs):
+    def phi(t, mu, omega):
+        t = np.asarray(t)
+        row = np.where(t < 0.05, 5e-324, np.where(np.abs(t - 0.2) < 0.02, 1.0, 0.0))
+        return np.broadcast_to(row, np.broadcast_shapes(t.shape, np.shape(mu), np.shape(omega)))
+
+    pair = SourceTestPair(source=phi, test_center=0.3, test_width=0.05)
+    _, inflow = _support_rows(pair, material, short_grid)
+    expected = (source_table(phi, short_grid)[1:] / material.tau).any(axis=(1, 2)).sum()
+    assert 0 < len(inflow) == expected
+    assert inflow.any(axis=(1, 2)).all()
+
+
+class TestExactGradient:
+    """Reverse mode through the response march against central differences."""
+
+    def test_sec52_pair(self, material_guess, grid, sweep_pairs, gradients_at_guess):
         assert (grid.n_t, grid.n_x, grid.n_mu, grid.n_omega) == (331, 51, 64, 10)
-        assert_interior_sums_match_folded(material_guess, grid, sweep_pairs[3])
+        for index, (pair, gradient) in enumerate(zip(sweep_pairs, gradients_at_guess)):
+            directions = aligned_directions(gradient, grid, count=2, seed=DIRECTION_SEED + index)
+            coarse, fine = fd_disagreements(material_guess, grid, pair, gradient, directions)
+            assert coarse <= 5e-5, index
+            assert fine <= coarse / 50.0, index
+
+    def test_coarse_grid(self):
+        # dt = 0.01, dx = 0.1, 16 mu nodes: the continuous adjoint this
+        # replaced was 16% off here.
+        grid = reconstruction_grid(dt=0.01, dx=0.1, n_mu=16)
+        star = build_material(ground_truth_tau(), default_g_star(), grid.omega_nodes)
+        guess = build_material(initial_guess_tau(), default_g_star(), grid.omega_nodes)
+        pairs = generate_data(star, grid, frequency_sweep_pairs(star))
+        for pair in pairs[::3]:
+            assert_exact_to_truncation(guess, grid, pair)
 
     def test_two_x_nodes(self, material_guess):
-        # dx = 1.0: each x node's two rows sit next to each other at the
-        # reflecting face, and the row reversal swaps them.
+        # dx = 1.0: the outflow copy reads the row the reflection wrote.
         grid = reconstruction_grid(dx=1.0, t_end=0.5, n_mu=8)
         assert grid.n_x == 2
+        star = build_material(ground_truth_tau(), default_g_star(), grid.omega_nodes)
+        guess = build_material(initial_guess_tau(), default_g_star(), grid.omega_nodes)
         pair = SourceTestPair(BoundarySource(0.05, 0.9, 2.0, (0.02, 0.05, 0.3)), 0.3, 0.05)
-        assert_interior_sums_match_folded(material_guess, grid, pair)
+        assert_exact_to_truncation(guess, grid, generate_data(star, grid, [pair])[0])
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -438,46 +448,103 @@ class TestInteriorSumsOnSheets:
         epsilon=st.floats(0.3, 1.0),
         tau=st.floats(0.5, 2.0),
         slope=st.floats(-0.5, 0.5),
-        mismatch=st.floats(-2.0, 2.0).filter(lambda m: abs(m) > 1e-3),
+        center=st.floats(0.3, 0.6),
     )
-    def test_small_grids(self, dx, n_mu, epsilon, tau, slope, mismatch):
-        # 2.3 is the largest group speed on the band; c + r stays below 1.
-        dt = 0.4 * min(epsilon * dx / 2.3, 0.5 * epsilon**2 * tau)
+    def test_small_grids(self, dx, n_mu, epsilon, tau, slope, center):
+        # 2.3 is the largest group speed on the band; c + r stays below 1
+        # for tau down to 0.9 of its value, where the data are made.
+        dt = 0.35 * min(epsilon * dx / 2.3, 0.5 * epsilon**2 * tau)
         grid = build_grid(GridConfig(
             dt=dt, dx=dx, domega=1.0, n_mu=n_mu, t_end=0.9,
             omega_min=1.0, omega_max=3.0, epsilon=epsilon,
         ))
         material = build_material(constant_tau(tau), default_g_star(), grid.omega_nodes)
         material = material.with_tau(tau * (1.0 + 0.2 * slope * (grid.omega_nodes - 2.0)))
+        truth = material.with_tau(material.tau * (0.9 + 0.05 * grid.omega_nodes / 3.0))
 
         def phi(t, mu, omega):
             return np.exp(-((t - 0.1) / 0.05) ** 2) * (1.0 + slope * mu) * (1.0 + 0.1 * omega)
 
         horizon = grid.t_nodes[-1]
-        pair = SourceTestPair(source=phi, test_center=0.5 * horizon, test_width=0.1 * horizon)
-        assert_interior_sums_match_folded(material, grid, pair, mismatch)
+        pair = SourceTestPair(source=phi, test_center=center * horizon, test_width=0.1 * horizon)
+        # tau as small as 0.5 makes the loss more curved in tau, and the
+        # truncation at step 1e-3 larger; its scaling with the step is what
+        # shows the gradient exact.
+        assert_exact_to_truncation(
+            material, grid, generate_data(truth, grid, [pair])[0], bound=1e-2
+        )
+
+    def test_loss_is_the_readout_loss_bit_for_bit(self, material_guess, grid, sweep_pairs):
+        for pair in sweep_pairs:
+            value, mismatch, _ = loss_and_gradient(material_guess, grid, pair)
+            assert (value, mismatch) == loss(material_guess, grid, pair)
+
+    def test_adjoint_march_ties_to_the_readout(self, material_guess, grid, sweep_pairs):
+        # <lambda_0, q_0> = sum_k c_k . g[k] = y: the adjoint march and the
+        # response march are transposes of each other.
+        half = grid.n_mu // 2
+        readout = grid.mu_omega_mean[half:] / mean_omega(material_guess.h_star, grid)
+        response = boundary_response(material_guess, grid)
+        for pair in sweep_pairs[::4]:
+            hankel, inflow = _support_rows(pair, material_guess, grid)
+            lagged = (hankel.T @ inflow.reshape(len(inflow), -1)).reshape(response.shape)
+            final = solve_adjoint(material_guess, grid, 1.0, lagged)
+            tied = float(np.vdot(readout, final[0] + final[-1]))
+            measured = forward_map(material_guess, grid, pair)
+            assert abs(tied - measured) <= 1e-13 * abs(measured)
 
 
 class TestObservability:
-    def test_one_stored_forward_and_one_streamed_adjoint(
-        self, material_guess, short_grid, short_pair, monkeypatch
-    ):
-        # perfbench times the gradient path by wrapping these two names in
-        # inverse; its per-solve metrics assume exactly this pattern.
+    @staticmethod
+    def record_marches(monkeypatch):
         calls = []
 
         def recording(name, original):
             def wrapper(*args, **kwargs):
-                bound = inspect.signature(original).bind(*args, **kwargs)
-                bound.apply_defaults()
-                calls.append((name, bound.arguments["store_trajectory"]))
+                calls.append(name)
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(inverse, "solve_forward", recording("forward", solve_forward))
         monkeypatch.setattr(inverse, "solve_adjoint", recording("adjoint", solve_adjoint))
+        monkeypatch.setattr(transport, "solve_forward", recording("forward", solve_forward))
+        monkeypatch.setattr(transport, "_integrate", recording("march", transport._integrate))
+        monkeypatch.setattr(
+            transport, "_transposed_step", recording("transposed", transport._transposed_step)
+        )
+        return calls
+
+    def test_one_adjoint_march_per_gradient(
+        self, material_guess, short_grid, short_pair, monkeypatch
+    ):
+        # perfbench times the gradient path by wrapping solve_adjoint in
+        # inverse.  At a memo hit a gradient is that one march and nothing
+        # else; at a miss the response is marched first, with its stack.
+        loss(material_guess, short_grid, short_pair)
+        calls = self.record_marches(monkeypatch)
         loss_and_gradient(material_guess, short_grid, short_pair)
-        assert calls == [("forward", True), ("adjoint", False)]
+        assert calls == ["adjoint", "march"]
+
+        calls.clear()
+        loss_and_gradient(material_guess.with_tau(material_guess.tau * 1.01), short_grid, short_pair)
+        assert calls == ["transposed"] * (short_grid.n_t - 2) + ["adjoint", "march"]
+        assert transport._last_response[3] is not None
+
+    def test_measurements_keep_no_stack_and_losses_do(
+        self, material_star, material_guess, short_grid, short_pair, monkeypatch
+    ):
+        generate_data(material_guess, short_grid, [short_pair])
+        assert transport._last_response[3] is None
+        calls = self.record_marches(monkeypatch)
+        # A loss re-marches the bare entry with its stack; a readout then
+        # hits it, and a loss at another tau reuses the stack's buffer.
+        loss(material_guess, short_grid, short_pair)
+        assert calls == ["transposed"] * (short_grid.n_t - 2)
+        stack = transport._last_response[3]
+        assert stack is not None
+        forward_map(material_guess, short_grid, short_pair)
+        assert len(calls) == short_grid.n_t - 2
+        total_loss(material_star, short_grid, [short_pair])
+        assert transport._last_response[3] is stack
 
 
 class TestGenerateData:

@@ -16,6 +16,7 @@ from phonon_inverse.material import (
     default_g_star,
     ground_truth_tau,
 )
+from phonon_inverse import transport
 from phonon_inverse.transport import (
     BoundarySource,
     _fold,
@@ -419,30 +420,28 @@ class TestAgainstReferenceMarch:
             assert_close_to_reference(snapshot, reference[n])
 
     def test_adjoint_on_step_slices(self, small):
+        # The adjoint is a forward-form march whose inflow at step n is the
+        # lagged inflow at lag N - n, times the mismatch: on_step's
+        # lambda_{k+1} is the reference march's state at step N - 1 - k, and
+        # the returned lambda_0 its last state.
         grid, material = small
-        half = grid.n_mu // 2
+        half, steps = grid.n_mu // 2, grid.n_t - 1
+        lagged = np.random.default_rng(3).random((steps, half, grid.n_omega))
         mismatch = 1.5
-        window = gaussian_bump(grid.t_nodes - 0.9, 0.08)
-        # The adjoint inflow p(t, 0, mu < 0), written at -mu > 0 in reversed
-        # time; the reference march then gives p at t_nodes[last - s], mu flipped.
-        profile = (
-            grid.epsilon * mismatch * material.h_star
-            / (-grid.mu_nodes[half:, None] * material.velocity * material.tau
-               * mean_omega(material.h_star, grid))
-        )
-        backward = reference_march(material, grid, window[::-1, None, None] * profile)
-        last = grid.n_t - 1
+        inflow = np.zeros((grid.n_t, half, grid.n_omega))
+        inflow[1:] = mismatch * lagged[::-1]
+        expected = reference_march(material, grid, inflow)
         seen = {}
-        solve_adjoint(
-            material, grid, mismatch, window, store_trajectory=False,
-            on_step=lambda n, sheet: seen.setdefault(n, sheet.copy()),
+        final = solve_adjoint(
+            material, grid, mismatch, lagged,
+            on_step=lambda k, lam, cotangent: seen.setdefault(k, lam.copy()),
         )
-        assert sorted(seen) == list(range(last))
-        # Each raw sheet, rows reversed, folds to the adjoint field.
+        assert sorted(seen) == list(range(steps - 1))
+        lags = np.arange(steps - 1)
         assert_close_to_reference(
-            fold(np.stack([seen[n][::-1] for n in range(last)])),
-            np.stack([backward[last - n][:, ::-1] for n in range(last)]),
+            fold(np.stack([seen[k] for k in lags])), expected[steps - 1 - lags]
         )
+        assert_close_to_reference(fold(final), expected[-1])
 
     def test_peak_memory_of_traces_only_march(self, grid, material):
         # The march keeps the left trace and the inflow table, each n_t
@@ -462,95 +461,89 @@ class TestAgainstReferenceMarch:
 
 
 class TestSolveAdjoint:
-    @staticmethod
-    def window(grid, center=1.0, width=0.08):
-        return gaussian_bump(grid.t_nodes - center, width)
+    """The reverse-mode march through the response's kept stack."""
+
+    @pytest.fixture(scope="class")
+    def short(self, material):
+        return baseline_grid(t_end=0.5, n_mu=16)
 
     @staticmethod
-    def field(traj):
-        """The stored adjoint field p in (t, x, mu, omega) layout."""
-        return fold(traj.values[:, ::-1])
+    def lagged(grid, material, center=0.2, width=0.05):
+        """A positive window-weighted inflow, one (mu, omega) slice per lag."""
+        lags = grid.dt * np.arange(grid.n_t - 1)
+        profile = material.h_star / grid.mu_nodes[grid.n_mu // 2 :, None]
+        return gaussian_bump(lags - center, width)[:, None, None] * profile
 
-    def test_zero_mismatch_gives_zero_field(self, grid, material):
-        traj = solve_adjoint(material, grid, 0.0, self.window(grid))
-        assert np.all(traj.values == 0.0)
+    @staticmethod
+    def states(material, grid, mismatch, lagged):
+        """lambda_{k+1} for every lag k that on_step sees, indexed by k."""
+        seen = {}
+        solve_adjoint(
+            material, grid, mismatch, lagged,
+            on_step=lambda k, lam, cotangent: seen.setdefault(k, lam.copy()),
+        )
+        return np.stack([seen[k] for k in range(len(seen))])
 
-    def test_terminal_slice_is_zero_exactly(self, grid, material):
-        traj = solve_adjoint(material, grid, 2.5, self.window(grid))
-        assert np.all(traj.values[-1] == 0.0)
+    def test_zero_mismatch_gives_zero_field(self, short, material):
+        lagged = self.lagged(short, material)
+        assert np.all(self.states(material, short, 0.0, lagged) == 0.0)
+        assert np.all(solve_adjoint(material, short, 0.0, lagged) == 0.0)
 
-    def test_boundary_rows_match_prescription(self, grid, material):
+    def test_boundary_rows_match_prescription(self, short, material):
+        # Row 0 of lambda_{k+1} is the inflow written there: the mismatch
+        # times the lagged inflow at lag k + 1.
         mismatch = 1.5
-        win = self.window(grid)
-        traj = solve_adjoint(material, grid, mismatch, win)
-        half = grid.n_mu // 2
-        mu_neg = grid.mu_nodes[:half]
-        h_star_mean = mean_omega(material.h_star, grid)
-        n = grid.n_t // 3
-        expected = (
-            grid.epsilon
-            * mismatch
-            * material.h_star
-            * win[n]
-            / (mu_neg[:, None] * material.velocity * material.tau * h_star_mean)
-        )
+        lagged = self.lagged(short, material)
+        states = self.states(material, short, mismatch, lagged)
+        np.testing.assert_array_equal(states[:, 0], mismatch * lagged[1:])
+
+    def test_reflection_symmetry_at_right_wall(self, short, material):
+        states = self.states(material, short, 1.0, self.lagged(short, material))
+        field = fold(states)[:, -1]
+        np.testing.assert_array_equal(field[:, ::-1, :], field)
+
+    def test_domain_of_influence_backward(self, short, material):
+        # An inflow supported only on the last five lags enters the march in
+        # its first five steps; lambda_{k+1}, marched N - 1 - k steps, can
+        # reach at most N - 1 - k cells from x = 0, bitwise.
+        steps = short.n_t - 1
+        lagged = self.lagged(short, material)
+        lagged[:-5] = 0.0
+        field = fold(self.states(material, short, 1.0, lagged))
+        for k in (steps - 20, steps - 40, steps - 50):
+            reach = steps - 1 - k
+            assert reach < short.n_x
+            assert np.all(field[k, reach:] == 0.0)
+            assert np.abs(field[k, reach - 1]).max() > 0.0
+
+    def test_linearity_in_mismatch(self, short, material):
+        lagged = self.lagged(short, material, center=0.3)
+        base = self.states(material, short, 1.0, lagged)
+        scaled = self.states(material, short, -3.5, lagged)
         np.testing.assert_allclose(
-            self.field(traj)[n, 0, :half, :], expected, rtol=1e-13, atol=0
+            scaled, -3.5 * base, rtol=0, atol=1e-12 * np.abs(scaled).max()
         )
 
-    def test_reflection_symmetry_at_right_wall(self, grid, material):
-        traj = solve_adjoint(material, grid, 1.0, self.window(grid))
-        slab = self.field(traj)[:, -1]
-        np.testing.assert_array_equal(slab[:, ::-1, :], slab)
-
-    def test_domain_of_influence_backward(self, grid, material):
-        # A window supported only on the last few time nodes can influence at
-        # most one cell per backward step: values[n, i] must vanish for
-        # i > (n_t - 1 - n), bitwise.
-        window_values = np.zeros(grid.n_t)
-        window_values[-5:] = 1.0
-        traj = solve_adjoint(material, grid, 1.0, window_values)
-        field = self.field(traj)
-        for n in (grid.n_t - 60, grid.n_t - 120, grid.n_t - 200):
-            reach = grid.n_t - 1 - n
-            if reach < grid.n_x:
-                assert np.all(field[n, reach + 1 :] == 0.0)
-        assert np.abs(traj.values).max() > 0.0
-
-    def test_linearity_in_mismatch(self, material):
-        grid = baseline_grid(t_end=0.5, n_mu=16)
-        base = solve_adjoint(material, grid, 1.0, self.window(grid, center=0.3))
-        scaled = solve_adjoint(material, grid, -3.5, self.window(grid, center=0.3))
-        np.testing.assert_allclose(
-            scaled.values, -3.5 * base.values, rtol=0, atol=1e-12 * np.abs(scaled.values).max()
-        )
-
-    def test_on_step_sees_each_stored_slice(self, grid, material):
-        # The streamed slices are the stored trajectory's, bit for bit, in
-        # backward time order; the traces match with nothing stored.
-        stored = solve_adjoint(material, grid, 1.5, self.window(grid))
+    def test_on_step_sees_each_stored_slice(self, short, material):
+        # Lags arrive from N - 2 down to 0, each with its slot of the stack
+        # the response march kept.  A slot holds B^T q_k: the rows the
+        # step's boundary rules overwrite are zero in it.
         seen = []
-        streamed = solve_adjoint(
-            material, grid, 1.5, self.window(grid), store_trajectory=False,
-            on_step=lambda n, p: seen.append((n, p.copy())),
+        solve_adjoint(
+            material, short, 1.0, self.lagged(short, material),
+            on_step=lambda k, lam, cotangent: seen.append((k, cotangent)),
         )
-        assert [n for n, _ in seen] == list(range(grid.n_t - 2, -1, -1))
-        for n, p in seen:
-            np.testing.assert_array_equal(p, stored.values[n])
-        assert streamed.values is None
-        np.testing.assert_array_equal(streamed.left_trace, stored.left_trace)
+        stack = transport._last_response[3]
+        n_x = short.n_x
+        assert [k for k, _ in seen] == list(range(short.n_t - 3, -1, -1))
+        for k, cotangent in seen:
+            assert cotangent.base is stack and np.shares_memory(cotangent, stack[k])
+            assert np.all(cotangent[[0, n_x, 2 * n_x - 1]] == 0.0)
+            assert np.abs(cotangent).max() > 0.0
 
-    def test_stored_stack_is_a_reversed_view(self, material):
-        # Re-indexing the march's stack to forward time copies nothing.
-        grid = baseline_grid(t_end=0.2, n_mu=8)
-        traj = solve_adjoint(material, grid, 1.0, self.window(grid, center=0.1, width=0.02))
-        assert traj.values.base is not None
-        assert traj.values.strides[0] < 0
-        assert traj.values.shape == (grid.n_t, 2 * grid.n_x, grid.n_mu // 2, grid.n_omega)
-
-    def test_window_array_length_checked(self, grid, material):
-        with pytest.raises(ValueError, match="time node"):
-            solve_adjoint(material, grid, 1.0, np.ones(7))
+    def test_lagged_inflow_shape_checked(self, short, material):
+        with pytest.raises(ValueError, match="time lag"):
+            solve_adjoint(material, short, 1.0, np.ones((7, short.n_mu // 2, short.n_omega)))
 
 
 class TestBoundaryResponse:
@@ -641,6 +634,33 @@ class TestBoundaryResponse:
         again = boundary_response(material, twin_grid)
         assert again is not first
         np.testing.assert_array_equal(again, first)
+
+    def test_stack_is_kept_only_when_asked(self, small):
+        grid, material = small
+        bare = boundary_response(material.with_tau(material.tau * 1.02), grid)
+        assert transport._last_response[3] is None
+        # A request for the stack re-marches a bare entry; the response it
+        # returns is a new array with the same bits.
+        stacked = boundary_response(
+            material.with_tau(material.tau * 1.02), grid, keep_stack=True
+        )
+        assert stacked is not bare
+        np.testing.assert_array_equal(stacked, bare)
+        stack = transport._last_response[3]
+        assert stack.shape == (grid.n_t - 1, 2 * grid.n_x, grid.n_mu // 2, grid.n_omega)
+        # A bare request hits the stacked entry and leaves its stack.
+        again = boundary_response(material.with_tau(material.tau * 1.02), grid)
+        assert again is stacked
+        assert transport._last_response[3] is stack
+
+    def test_new_march_reuses_or_drops_the_stack(self, small):
+        grid, material = small
+        boundary_response(material, grid, keep_stack=True)
+        stack = transport._last_response[3]
+        boundary_response(material.with_tau(material.tau * 1.01), grid, keep_stack=True)
+        assert transport._last_response[3] is stack
+        boundary_response(material, grid)
+        assert transport._last_response[3] is None
 
     def test_result_is_read_only(self, small):
         grid, material = small

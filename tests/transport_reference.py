@@ -30,11 +30,7 @@ def unfold(states: FloatArray) -> FloatArray:
 
 
 def fold(sheets: FloatArray) -> FloatArray:
-    """The (..., n_x, n_mu, n_omega) states of unfolded sheets; the inverse of :func:`unfold`.
-
-    An adjoint sheet's rows run the other way: ``fold(sheets[..., ::-1, :, :])``
-    is the adjoint field.
-    """
+    """The (..., n_x, n_mu, n_omega) states of unfolded sheets; the inverse of :func:`unfold`."""
     n_x = sheets.shape[-3] // 2
     return np.concatenate(
         [sheets[..., : n_x - 1 : -1, ::-1, :], sheets[..., :n_x, :, :]], axis=-2

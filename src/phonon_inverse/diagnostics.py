@@ -112,13 +112,14 @@ def compute_macro_trace(
 ) -> MacroTrace:
     """Run the forward solver in streaming-moment mode and extract the trace.
 
-    Only (n_t, n_x, 2) moment storage and one final state are kept, so this
-    handles long small-epsilon runs whose full trajectories would not fit
-    comfortably in memory.
+    The march keeps only (n_t, n_x, 2) moments and one final state: no stack,
+    no boundary trace and no inflow table, so beyond those outputs its memory
+    does not grow with the number of steps.  This handles long small-epsilon
+    runs whose full trajectories would not fit comfortably in memory.
     """
     weights = _macro_moment_weights(material, grid)
     traj = solve_forward(
-        material, grid, source, store_trajectory=False,
+        material, grid, source, store_trajectory=False, keep_left_trace=False,
         moment_weights=weights, snapshot_times=[grid.t_nodes[-1]],
     )
     temperature = traj.moments[:, :, 0]

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -95,15 +96,22 @@ def gaussian_source(params: BoundarySource) -> SourceFunction:
     return phi
 
 
+# The march takes its inflow this many steps at a time (see _integrate).
+_INFLOW_BLOCK_STEPS = 64
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Solution stack over the time nodes, plus the x = 0 boundary trace.
+    """What a forward solve kept: the stack, the x = 0 trace, moments, snapshots.
+
+    Each field is None unless the solve asked for it, and only the fields
+    asked for grow with the number of time steps; the march itself works in
+    a fixed number of sheets and one block of inflow rows.
 
     ``values`` is the march's own stack of unfolded sheets (see
-    :func:`_integrate`), shape (n_t, 2 n_x, n_mu/2, n_omega); it is None when
-    the solve was asked to keep only the trace.  Row r < n_x of a sheet is
-    the state at (x_r, +|mu_c|) and row 2 n_x - 1 - r the state at
-    (x_r, -|mu_c|), with column c running over the mu > 0 nodes.
+    :func:`_integrate`), shape (n_t, 2 n_x, n_mu/2, n_omega).  Row r < n_x
+    of a sheet is the state at (x_r, +|mu_c|) and row 2 n_x - 1 - r the
+    state at (x_r, -|mu_c|), with column c running over the mu > 0 nodes.
     ``left_trace`` is the x = 0 slice in (t, mu, omega) layout,
     shape (n_t, n_mu, n_omega).  The first time slice is the initial
     condition exactly (no boundary overwrite is applied at the starting
@@ -117,7 +125,7 @@ class Trajectory:
     """
 
     values: FloatArray | None
-    left_trace: FloatArray
+    left_trace: FloatArray | None
     moments: FloatArray | None = None
     snapshots: FloatArray | None = None
     snapshot_times: tuple[float, ...] | None = None
@@ -157,39 +165,32 @@ def _validate_stability(material: MaterialModel, grid: PhaseGrid) -> None:
 
 
 def source_values(
-    source: BoundarySource | SourceFunction, grid: PhaseGrid
+    source: BoundarySource | SourceFunction, grid: PhaseGrid, nodes: slice = slice(None)
 ) -> FloatArray:
-    """phi on the inflow nodes (t, mu > 0, omega), shape (n_t, n_mu/2, n_omega).
+    """phi on the inflow nodes (t_nodes[nodes], mu > 0, omega), shape (len, n_mu/2, n_omega).
 
-    The result is a read-only view that may share memory with the array a
-    callable source returned; :func:`source_table` is its writable copy.
+    The march reads it one block of time nodes at a time.  The result is a
+    read-only view that may share memory with the array a callable source
+    returned.
     """
     phi = gaussian_source(source) if isinstance(source, BoundarySource) else source
+    t = grid.t_nodes[nodes]
     mu_pos = grid.mu_nodes[grid.n_mu // 2 :]
-    values = phi(
-        grid.t_nodes[:, None, None],
-        mu_pos[None, :, None],
-        grid.omega_nodes[None, None, :],
-    )
+    values = phi(t[:, None, None], mu_pos[None, :, None], grid.omega_nodes[None, None, :])
     return np.broadcast_to(
-        np.asarray(values, dtype=float), (grid.n_t, mu_pos.size, grid.n_omega)
+        np.asarray(values, dtype=float), (t.size, mu_pos.size, grid.n_omega)
     )
 
 
-def source_table(
-    source: BoundarySource | SourceFunction, grid: PhaseGrid
-) -> FloatArray:
-    """Evaluate phi on the inflow nodes (t, mu > 0, omega), shape (n_t, n_mu/2, n_omega)."""
-    return source_values(source, grid).copy()
+def _inflow_from_source(
+    source: BoundarySource | SourceFunction, material: MaterialModel, grid: PhaseGrid
+) -> Callable[[int, int, FloatArray], None]:
+    """The march's inflow rows h = phi/tau, evaluated one block of steps at a time."""
 
+    def fill_inflow(start: int, stop: int, out: FloatArray) -> None:
+        np.divide(source_values(source, grid, slice(start, stop)), material.tau, out=out)
 
-def _inflow_table(
-    source: BoundarySource | SourceFunction,
-    material: MaterialModel,
-    grid: PhaseGrid,
-) -> FloatArray:
-    """Boundary values h = phi/tau on (t, mu > 0, omega), shape (n_t, n_mu/2, n_omega)."""
-    return source_table(source, grid) / material.tau
+    return fill_inflow
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,21 @@ def _step_tables(material: MaterialModel, grid: PhaseGrid) -> _StepTables:
     )
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> FloatArray:
+    """An uninitialized float array of ``shape`` whose data starts on a cache line.
+
+    The marches store into these.  numpy's elementwise loops store whole SIMD
+    vectors, and into an array that starts mid cache line every store splits
+    a line; on a 2-core Xeon with AVX-512 that made the transposed step's
+    multiplications 2-2.5x slower.  malloc aligns to 16 bytes only, so
+    without this the marches' speed would depend on unrelated allocations.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[start : start + size].reshape(shape)
+
+
 def _fold(sheet: FloatArray, out: FloatArray) -> None:
     """Write an unfolded (2 n_x, n_mu/2, n_omega) sheet into (x, mu, omega) layout."""
     n_x, half = out.shape[0], out.shape[1] // 2
@@ -259,13 +275,14 @@ def _fold(sheet: FloatArray, out: FloatArray) -> None:
 def _integrate(
     material: MaterialModel,
     grid: PhaseGrid,
-    inflow: FloatArray,
-    store_trajectory: bool,
+    fill_inflow: Callable[[int, int, FloatArray], None],
     label: str,
+    store_trajectory: bool = False,
+    keep_left_trace: bool = False,
     moment_weights: FloatArray | None = None,
     snapshot_steps: Sequence[int] = (),
     on_step: Callable[[int, FloatArray], None] | None = None,
-) -> tuple[FloatArray | None, FloatArray, FloatArray | None, FloatArray | None]:
+) -> tuple[FloatArray | None, FloatArray | None, FloatArray | None, FloatArray | None]:
     """March the forward-form system for one source from a zero state.
 
     The state is the slab unfolded at its specular face: one contiguous
@@ -276,22 +293,25 @@ def _integrate(
     the previous row; inflow writes row 0, specular reflection copies row
     n_x-1 into row n_x, and outflow copies row 2 n_x-2 into row 2 n_x-1.
 
-    ``inflow`` holds the x = 0 boundary values for the mu > 0 rows, shape
-    (n_t, n_mu/2, n_omega); slice n is written after the step that lands on
-    t_nodes[n].  ``moment_weights`` (K, n_mu, n_omega) requests streamed
-    per-step reductions; ``snapshot_steps`` requests full state copies at
-    those step indices (a step may be asked for more than once);
-    ``on_step(n, sheet)``, if given, sees each new unfolded sheet, which is
-    only valid during the call.  Returns (stack or None, left trace, moments
-    or None, snapshots or None).  With ``store_trajectory`` the march steps
-    straight through the slots of the (n_t, 2 n_x, n_mu/2, n_omega) stack:
-    slot n - 1 is the state and slot n the new state.  The left trace is in
-    (t, mu, omega) layout and the snapshots in (x, mu, omega) layout.
+    ``fill_inflow(start, stop, out)`` writes into ``out``, shape
+    (stop - start, n_mu/2, n_omega), the x = 0 boundary values for the
+    mu > 0 rows at steps start .. stop - 1; row n is written after the step
+    that lands on t_nodes[n].  It is asked for blocks of
+    :data:`_INFLOW_BLOCK_STEPS` steps from step 1 on, all into one buffer,
+    so no (n_t, n_mu/2, n_omega) table is ever held.  ``keep_left_trace``
+    keeps the x = 0 slice of every state; ``moment_weights`` (K, n_mu,
+    n_omega) requests streamed per-step reductions; ``snapshot_steps``
+    requests full state copies at those step indices (a step may be asked
+    for more than once); ``on_step(n, sheet)``, if given, sees each new
+    unfolded sheet, which is only valid during the call.  Returns (stack,
+    left trace, moments, snapshots), each None unless asked for.  With
+    ``store_trajectory`` the march steps straight through the slots of the
+    (n_t, 2 n_x, n_mu/2, n_omega) stack: slot n - 1 is the state and slot n
+    the new state.  The left trace is in (t, mu, omega) layout and the
+    snapshots in (x, mu, omega) layout.
     """
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
-    if inflow.shape != (n_t, half, n_omega):
-        raise ValueError(f"inflow must have shape {(n_t, half, n_omega)}, got {inflow.shape}")
     state_shape = (n_x, n_mu, n_omega)
     rows = 2 * n_x
     sheet_shape = (rows, half, n_omega)
@@ -299,15 +319,18 @@ def _integrate(
     courant, relax_coef, h_star = tables.courant, tables.relax, tables.h_star
     h_star_mean, density_weights = tables.h_star_mean, tables.density_weights
 
+    stack = None
     if store_trajectory:
-        sheets = np.empty((n_t, *sheet_shape))
+        sheets = stack = np.empty((n_t, *sheet_shape))
         sheets[0] = 0.0
     else:
-        sheets = [np.zeros(sheet_shape), np.empty(sheet_shape)]
-    upwind = np.empty((rows - 1, half, n_omega))
+        sheets = [_aligned_empty(sheet_shape), _aligned_empty(sheet_shape)]
+        sheets[0].fill(0.0)
+    upwind = _aligned_empty((rows - 1, half, n_omega))
     row_sums = np.empty(rows)
     density = np.zeros(rows)
-    left = np.zeros((n_t, n_mu, n_omega))
+    left = np.zeros((n_t, n_mu, n_omega)) if keep_left_trace else None
+    inflow = np.empty((min(_INFLOW_BLOCK_STEPS, n_t - 1), half, n_omega))
 
     moments = None
     if moment_weights is not None:
@@ -323,7 +346,11 @@ def _integrate(
     )
 
     state = sheets[0]
+    block_start = block_stop = 1
     for n in range(1, n_t):
+        if n == block_stop:
+            block_start, block_stop = n, min(n + _INFLOW_BLOCK_STEPS, n_t)
+            fill_inflow(block_start, block_stop, inflow[: block_stop - block_start])
         new = sheets[n] if store_trajectory else sheets[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
@@ -339,7 +366,7 @@ def _integrate(
         new[1:] -= upwind
         # Boundary rules, in dependency order: inflow at x = 0, specular
         # reflection at x = 1, then first-order outflow extrapolation at x = 0.
-        new[0] = inflow[n]
+        new[0] = inflow[n - block_start]
         new[n_x] = new[n_x - 1]
         new[-1] = new[-2]
         # Each half's density is one matrix-vector product; folding the
@@ -355,8 +382,9 @@ def _integrate(
                 f"(t = {grid.t_nodes[n]:.6g})"
             )
         density[n_x:] = density[n_x - 1 :: -1]
-        left[n, half:] = new[0]
-        left[n, :half] = new[-1, ::-1]
+        if left is not None:
+            left[n, half:] = new[0]
+            left[n, :half] = new[-1, ::-1]
         if moments is not None:
             moments[n] = new[:n_x].reshape(n_x, -1) @ rightward_weights
             moments[n] += (new[n_x:].reshape(n_x, -1) @ leftward_weights)[::-1]
@@ -366,8 +394,13 @@ def _integrate(
             on_step(n, new)
         state = new
 
-    logger.debug("%s solve: %d steps, epsilon=%g", label, n_t - 1, grid.epsilon)
-    return (sheets if store_trajectory else None), left, moments, snapshots
+    kept = [0 if a is None else a.nbytes for a in (left, moments, snapshots, stack)]
+    logger.debug(
+        "%s solve: %d steps, epsilon=%g; kept bytes: left trace %d, moments %d, "
+        "snapshots %d, stack %d",
+        label, n_t - 1, grid.epsilon, *kept,
+    )
+    return stack, left, moments, snapshots
 
 
 def _transposed_step(
@@ -420,23 +453,28 @@ def solve_forward(
     store_trajectory: bool = True,
     moment_weights: FloatArray | None = None,
     snapshot_times: Sequence[float] = (),
+    keep_left_trace: bool = True,
 ) -> Trajectory:
     """Integrate the forward system for one boundary pulse.
 
     ``source`` is either a :class:`BoundarySource` or any callable
-    phi(t, mu, omega); the inflow rows are set to phi/tau.  A stored solve
-    returns the march's stack of unfolded sheets as ``values`` (see
-    :class:`Trajectory`).  With ``store_trajectory=False`` only the x = 0
-    trace is kept, which is enough to evaluate measurements and much
-    cheaper in memory; streamed ``moment_weights`` reductions and
-    full-state ``snapshot_times`` copies cover the diagnostic uses that
-    would otherwise need the whole stack.
+    phi(t, mu, omega) that is elementwise in t: it is called on blocks of
+    consecutive time nodes, never on the whole grid at once, and its value
+    at a node must not depend on which other nodes share the call.  The
+    inflow rows are set to phi/tau.
+
+    The march keeps only what is asked for (see :class:`Trajectory`): the
+    stack of unfolded sheets with ``store_trajectory``, the x = 0 trace with
+    ``keep_left_trace``, streamed ``moment_weights`` reductions and
+    full-state ``snapshot_times`` copies.  Without the stack, its memory is
+    those outputs plus a few sheets and one block of inflow rows, whatever
+    the number of steps.
     """
     _validate_stability(material, grid)
-    inflow = _inflow_table(source, material, grid)
     steps = _snapshot_steps(grid, snapshot_times)
     values, left, moments, snapshots = _integrate(
-        material, grid, inflow, store_trajectory, label="forward",
+        material, grid, _inflow_from_source(source, material, grid), label="forward",
+        store_trajectory=store_trajectory, keep_left_trace=keep_left_trace,
         moment_weights=moment_weights, snapshot_steps=steps,
     )
     return Trajectory(
@@ -462,8 +500,8 @@ def solve_forward_batch(
     _validate_stability(material, grid)
     return np.stack([
         _integrate(
-            material, grid, _inflow_table(source, material, grid),
-            store_trajectory=False, label="forward-batch",
+            material, grid, _inflow_from_source(source, material, grid),
+            label="forward-batch", keep_left_trace=True,
         )[1]
         for source in sources
     ])
@@ -522,12 +560,10 @@ def boundary_response(
         stack[0] = 0.0
         sheets = stack
     else:
-        # np.zeros, not np.empty and a fill: on a 2-core Xeon the fill left
-        # the sec52 march 10-15 ms slower whenever it followed an earlier
-        # material's readouts (allocator state; the cause was not pinned).
         stack = None
-        sheets = [np.zeros(sheet_shape), np.empty(sheet_shape)]
-    scratch = np.empty(sheet_shape)
+        sheets = [_aligned_empty(sheet_shape), _aligned_empty(sheet_shape)]
+        sheets[0].fill(0.0)
+    scratch = _aligned_empty(sheet_shape)
     cotangent = sheets[0]
     cotangent[0] = tables.readout
     cotangent[-1] = tables.readout
@@ -581,10 +617,11 @@ def solve_adjoint(
         )
     boundary_response(material, grid, keep_stack=True)
     stack = _last_response[3]
-    inflow = np.empty((grid.n_t, half, n_omega))
-    inflow[0] = 0.0
-    np.multiply(mismatch_value, lagged_inflow[::-1], out=inflow[1:])
+    reversed_lags = lagged_inflow[::-1]
     final = np.empty_like(stack[0])
+
+    def fill_inflow(start: int, stop: int, out: FloatArray) -> None:
+        np.multiply(mismatch_value, reversed_lags[start - 1 : stop - 1], out=out)
 
     def paired(n: int, sheet: FloatArray) -> None:
         k = steps - 1 - n
@@ -593,5 +630,5 @@ def solve_adjoint(
         elif on_step is not None:
             on_step(k, sheet, stack[k])
 
-    _integrate(material, grid, inflow, False, label="adjoint", on_step=paired)
+    _integrate(material, grid, fill_inflow, label="adjoint", on_step=paired)
     return final

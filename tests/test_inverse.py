@@ -51,7 +51,7 @@ from phonon_inverse.transport import (
     boundary_response,
     solve_adjoint,
     solve_forward,
-    source_table,
+    source_values,
 )
 from transport_reference import windowed_trace_average
 
@@ -329,7 +329,7 @@ class TestReadoutAgainstMarch:
 
 def full_hankel_readout(response, pair, material, grid):
     """The readout over every inflow row, as it was before the support cut."""
-    inflow = source_table(pair.source, grid)[1:] / material.tau
+    inflow = source_values(pair.source, grid)[1:] / material.tau
     steps = grid.n_t - 1
     weights = np.zeros(2 * steps)
     weights[:steps] = (pair.window(grid.t_nodes) * grid.t_mean)[1:]
@@ -349,7 +349,7 @@ class TestReadoutSupport:
 
     def test_sweep_pairs(self, material_guess, grid, sweep_pairs):
         # Each sec52 pulse's inflow is exactly zero outside 97 of 330 rows.
-        support = np.flatnonzero(source_table(sweep_pairs[0].source, grid)[1:].any(axis=(1, 2)))
+        support = np.flatnonzero(source_values(sweep_pairs[0].source, grid)[1:].any(axis=(1, 2)))
         assert support.size == 97
         for pair in sweep_pairs:
             self.assert_matches_full(material_guess, grid, pair)
@@ -406,7 +406,7 @@ def test_rows_the_division_zeroes_are_dropped(short_grid):
 
     pair = SourceTestPair(source=phi, test_center=0.3, test_width=0.05)
     _, inflow = _support_rows(pair, material, short_grid)
-    expected = (source_table(phi, short_grid)[1:] / material.tau).any(axis=(1, 2)).sum()
+    expected = (source_values(phi, short_grid)[1:] / material.tau).any(axis=(1, 2)).sum()
     assert 0 < len(inflow) == expected
     assert inflow.any(axis=(1, 2)).all()
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonon_inverse.collision import mean_omega, temperature_of
+from phonon_inverse.diagnostics import compute_macro_trace
 from phonon_inverse.grid import GridConfig, build_grid
 from phonon_inverse.material import (
     build_material,
@@ -39,6 +40,23 @@ from transport_reference import (
 
 BEAM = BoundarySource(t0=0.04, mu0=0.96, omega0=2.0, widths=(0.01, 0.01, 0.1))
 BEAM_ARRIVAL = 0.04 + 2.0 / (0.96 * 2.1)  # return time of the reflected pulse
+
+
+def traced_peak(call):
+    """(result, peak bytes allocated above the start) of a call, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def inflow_block_bytes(grid):
+    return transport._INFLOW_BLOCK_STEPS * (grid.n_mu // 2) * grid.n_omega * 8
 
 
 def baseline_grid(**overrides):
@@ -118,14 +136,15 @@ class TestSolveForward:
         assert np.all(beam_trajectory.values[0] == 0.0)
 
     def test_inflow_rows_match_source(self, grid, material, beam_states):
+        # Every state after the first, across the march's inflow blocks,
+        # carries phi / tau of its own time node bit for bit.
         half = grid.n_mu // 2
         phi = gaussian_source(BEAM)
-        n = 20  # t = 0.1, inside the injection window's tail
         expected = (
-            phi(grid.t_nodes[n], grid.mu_nodes[half:, None], grid.omega_nodes)
+            phi(grid.t_nodes[1:, None, None], grid.mu_nodes[half:, None], grid.omega_nodes)
             / material.tau
         )
-        np.testing.assert_array_equal(beam_states[n, 0, half:, :], expected)
+        np.testing.assert_array_equal(beam_states[1:, 0, half:, :], expected)
 
     def test_reflection_rows_are_mirror_images(self, grid, beam_states):
         half = grid.n_mu // 2
@@ -444,20 +463,33 @@ class TestAgainstReferenceMarch:
         assert_close_to_reference(fold(final), expected[-1])
 
     def test_peak_memory_of_traces_only_march(self, grid, material):
-        # The march keeps the left trace and the inflow table, each n_t
-        # slices long, and a fixed number of state-sized arrays: never a
-        # per-step stack.
-        solve_forward(material, grid, BEAM, store_trajectory=False)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            traj = solve_forward(material, grid, BEAM, store_trajectory=False)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        # The march keeps the left trace, n_t slices long, one block of
+        # inflow rows and a fixed number of state-sized arrays: never an
+        # inflow table or a per-step stack.  Five are live through the march
+        # (two step tables, two states, the upwind difference); the rest is
+        # phi's block and numpy's ufunc buffers while a block is filled.
+        traj, peak = traced_peak(
+            lambda: solve_forward(material, grid, BEAM, store_trajectory=False)
+        )
         state_bytes = grid.n_x * grid.n_mu * grid.n_omega * 8
-        inflow_bytes = traj.left_trace.nbytes // 2
-        assert peak <= traj.left_trace.nbytes + inflow_bytes + 6 * state_bytes
+        assert peak <= traj.left_trace.nbytes + inflow_block_bytes(grid) + 7 * state_bytes
+
+    def test_peak_memory_of_moments_march_grows_by_its_rows(self, material):
+        # With no left trace, doubling the horizon adds only moment rows.
+        def march(t_end):
+            grid = baseline_grid(t_end=t_end, n_mu=16)
+            weights = np.stack([grid.mu_omega_mean, grid.mu_omega_mean])
+            return traced_peak(lambda: solve_forward(
+                material, grid, BEAM, store_trajectory=False, keep_left_trace=False,
+                moment_weights=weights, snapshot_times=[grid.t_nodes[-1]],
+            ))
+
+        short, short_peak = march(1.0)
+        long, long_peak = march(2.0)
+        assert short.left_trace is None and long.left_trace is None
+        added_rows = long.moments.nbytes - short.moments.nbytes
+        block = inflow_block_bytes(baseline_grid(t_end=1.0, n_mu=16))
+        assert long_peak - short_peak <= added_rows + block
 
 
 class TestSolveAdjoint:
@@ -541,9 +573,116 @@ class TestSolveAdjoint:
             assert np.all(cotangent[[0, n_x, 2 * n_x - 1]] == 0.0)
             assert np.abs(cotangent).max() > 0.0
 
+    def test_peak_memory_holds_no_n_t_long_array(self, material):
+        # Beyond its inputs the adjoint holds a few sheets and one block of
+        # inflow rows (plus numpy's copy of the reversed rows while it is
+        # filled): no inflow table and no left trace.
+        grid = baseline_grid(t_end=3.0, dx=0.1, n_mu=16)
+        lagged = self.lagged(grid, material)
+        _, peak = traced_peak(lambda: solve_adjoint(material, grid, 1.0, lagged))
+        sheet_bytes = 2 * grid.n_x * lagged[0].nbytes
+        assert peak <= 2 * inflow_block_bytes(grid) + 7 * sheet_bytes < lagged.nbytes
+
     def test_lagged_inflow_shape_checked(self, short, material):
         with pytest.raises(ValueError, match="time lag"):
             solve_adjoint(material, short, 1.0, np.ones((7, short.n_mu // 2, short.n_omega)))
+
+
+class TestStreamedInflow:
+    """The march reads its inflow one block of steps at a time."""
+
+    # n_t - 1 = 40 (under one block), 100 (not a multiple) and 128 (two);
+    # a block of 10,000 steps is one whole-horizon table.
+    @pytest.mark.parametrize("t_end", (0.2, 0.5, 0.64))
+    @pytest.mark.parametrize("block", (1, 7, 10_000))
+    def test_any_block_gives_the_same_marches(self, monkeypatch, material, t_end, block):
+        grid = baseline_grid(t_end=t_end, n_mu=8)
+        weights = np.stack([grid.mu_omega_mean])
+        lagged = TestSolveAdjoint.lagged(grid, material, center=0.1)
+
+        def outputs():
+            traj = solve_forward(
+                material, grid, BEAM, moment_weights=weights,
+                snapshot_times=(grid.t_nodes[grid.n_t // 2],),
+            )
+            states = TestSolveAdjoint.states(material, grid, 1.5, lagged)
+            final = solve_adjoint(material, grid, 1.5, lagged)
+            return traj.values, traj.left_trace, traj.moments, traj.snapshots, states, final
+
+        default = outputs()
+        monkeypatch.setattr(transport, "_INFLOW_BLOCK_STEPS", block)
+        for expected, actual in zip(default, outputs()):
+            np.testing.assert_array_equal(actual, expected)
+
+    def test_nonfinite_past_the_first_block_names_its_step(self, material):
+        grid = baseline_grid(t_end=0.8, n_mu=8)
+        step = 100
+        assert step > transport._INFLOW_BLOCK_STEPS + 1
+
+        def poisoned(t, mu, omega):
+            t = np.asarray(t)
+            shape = np.broadcast_shapes(t.shape, np.shape(mu), np.shape(omega))
+            return np.broadcast_to(np.where(t >= grid.t_nodes[step], np.inf, 0.0), shape)
+
+        with pytest.raises(RuntimeError, match=f"step {step} "):
+            solve_forward(material, grid, poisoned, store_trajectory=False)
+
+    def test_callable_source_is_evaluated_on_time_slices(self, material):
+        # n_t - 1 = 140 steps: two full blocks and a partial one.
+        grid = baseline_grid(t_end=0.7, n_mu=8)
+        beam = gaussian_source(BEAM)
+        seen = []
+
+        def phi(t, mu, omega):
+            seen.append(np.asarray(t).ravel().copy())
+            return beam(t, mu, omega)
+
+        solve_forward(material, grid, phi, store_trajectory=False)
+        assert [len(t) for t in seen] == [64, 64, 12]
+        np.testing.assert_array_equal(np.concatenate(seen), grid.t_nodes[1:])
+
+    def test_debug_line_reports_the_kept_bytes(self, caplog, material):
+        grid = baseline_grid(t_end=0.2, n_mu=8)
+        weights = np.stack([grid.mu_omega_mean])
+        with caplog.at_level("DEBUG", logger="phonon_inverse.transport"):
+            stored = solve_forward(material, grid, BEAM)
+            streamed = solve_forward(
+                material, grid, BEAM, store_trajectory=False, moment_weights=weights,
+                snapshot_times=(0.1,),
+            )
+            compute_macro_trace(material, grid, BEAM)
+            solve_adjoint(material, grid, 1.0, TestSolveAdjoint.lagged(grid, material))
+        lines = [r.getMessage() for r in caplog.records if " solve: " in r.getMessage()]
+        head = f" solve: {grid.n_t - 1} steps, epsilon=1; kept bytes: left trace "
+        left, moments = stored.left_trace.nbytes, streamed.moments.nbytes
+        snapshot = streamed.snapshots.nbytes
+        assert lines == [
+            f"forward{head}{left}, moments 0, snapshots 0, stack {stored.values.nbytes}",
+            f"forward{head}{left}, moments {moments}, snapshots {snapshot}, stack 0",
+            f"forward{head}0, moments {2 * moments}, snapshots {snapshot}, stack 0",
+            f"adjoint{head}0, moments 0, snapshots 0, stack 0",
+        ]
+
+
+def test_plain_marches_store_into_cache_line_aligned_sheets(monkeypatch, material):
+    # numpy stores whole SIMD vectors, and into a sheet that starts mid cache
+    # line every store splits a line (see _aligned_empty).
+    grid = baseline_grid(t_end=0.2, n_mu=8)
+    offsets = set()
+    solve_adjoint(
+        material, grid, 1.0, TestSolveAdjoint.lagged(grid, material),
+        on_step=lambda k, lam, cotangent: offsets.add(lam.ctypes.data % 64),
+    )
+    step = transport._transposed_step
+
+    def recording(q, out, tables, scratch):
+        offsets.update(a.ctypes.data % 64 for a in (q, out, scratch))
+        step(q, out, tables, scratch)
+
+    monkeypatch.setattr(transport, "_transposed_step", recording)
+    monkeypatch.setattr(transport, "_last_response", None)
+    boundary_response(material, grid)
+    assert offsets == {0}
 
 
 class TestBoundaryResponse:

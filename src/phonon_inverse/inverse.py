@@ -11,7 +11,9 @@ Every measurement (data, losses, the total loss and the mismatch that seeds
 the gradient) is read from the material's boundary response: one transposed
 march gives the x = 0 temperature's sensitivity to the inflow at every time
 lag, and each experiment's readout is then one dense sum of its inflow
-table against the windowed lags, over the time nodes where the pulse's
+against the windowed lags.  A Gaussian pulse's inflow is one time profile
+times one (mu, omega) table, so its readout is two matrix-vector products;
+any other source's is a matrix product over the time nodes where its
 inflow is nonzero.  No forward march is needed for a loss.
 
 The loss gradient with respect to the relaxation-time profile tau(omega) is
@@ -40,6 +42,7 @@ from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import (
     BoundarySource,
     SourceFunction,
+    _aligned_empty,
     boundary_response,
     gaussian_bump,
     solve_adjoint,
@@ -140,18 +143,51 @@ def frequency_sweep_pairs(
     ]
 
 
+def _hankel_rows(pair: SourceTestPair, grid: PhaseGrid, support: np.ndarray) -> FloatArray:
+    """Rows ``support`` of the window's Hankel matrix, shape (len(support), N).
+
+    With N = n_t - 1 and weights w_n = window(t_n) * t_mean_n, row m holds
+    w_{m + k} for the lags k = 0 .. N - 1 (zero past the horizon).
+    """
+    steps = grid.n_t - 1
+    weights = np.zeros(2 * steps)
+    weights[:steps] = (pair.window(grid.t_nodes) * grid.t_mean)[1:]
+    return np.lib.stride_tricks.sliding_window_view(weights, steps)[support]
+
+
+def _readout_rows(
+    pair: SourceTestPair, material: MaterialModel, grid: PhaseGrid
+) -> tuple[FloatArray, FloatArray]:
+    """(lag weights, inflow rows) such that the readout is sum (lag weights @ g) * inflow.
+
+    A :class:`BoundarySource`'s inflow is rank 1: u_m = a_m v with a its
+    time factor on the steps 1 .. N and v = b c / tau its (mu, omega)
+    factors over tau.  So sum_m w_{m+k} u_m = alpha_k v with
+    alpha = a @ hankel, over the steps where a is nonzero, and the pair is
+    one row, (alpha, v).  Any other source takes :func:`_support_rows`.
+    """
+    source = pair.source
+    if not isinstance(source, BoundarySource):
+        return _support_rows(pair, material, grid)
+    in_t, in_mu, in_omega = source.factors(
+        grid.t_nodes[1:], grid.mu_nodes[grid.n_mu // 2 :], grid.omega_nodes
+    )
+    support = np.flatnonzero(in_t)
+    lag_weights = in_t[support] @ _hankel_rows(pair, grid, support)
+    inflow = in_mu[:, None] * in_omega / material.tau
+    return lag_weights[None], inflow[None]
+
+
 def _support_rows(
     pair: SourceTestPair, material: MaterialModel, grid: PhaseGrid
 ) -> tuple[FloatArray, FloatArray]:
-    """The Hankel rows and the inflow rows over the pulse's time support.
+    """The Hankel rows and the inflow rows over the source's time support.
 
-    With N = n_t - 1, inflow u_m = phi_m / tau written at step m and weights
-    w_n = window(t_n) * t_mean_n, Hankel row m holds w_{m + k} for the lags
-    k = 0 .. N - 1 (zero past the horizon).  Only the steps where u_m has a
-    nonzero entry are kept, 97 of 330 for a sec52 pulse; the others
-    contribute exactly 0.  phi's table is read as a view, neither copied
-    nor written, and only the kept rows are divided by tau.  A nonfinite
-    entry is nonzero, so the check on the kept rows covers the whole table.
+    With inflow u_m = phi_m / tau written at step m, only the steps where
+    u_m has a nonzero entry are kept; the others contribute exactly 0.
+    phi's table is read as a view, neither copied nor written, and only the
+    kept rows are divided by tau.  A nonfinite entry is nonzero, so the
+    check on the kept rows covers the whole table.
     """
     table = source_values(pair.source, grid)[1:]
     support = np.flatnonzero(table.any(axis=(1, 2)))
@@ -167,23 +203,23 @@ def _support_rows(
     kept = inflow.any(axis=(1, 2))
     if not kept.all():
         support, inflow = support[kept], inflow[kept]
-    steps = grid.n_t - 1
-    weights = np.zeros(2 * steps)
-    weights[:steps] = (pair.window(grid.t_nodes) * grid.t_mean)[1:]
-    hankel = np.lib.stride_tricks.sliding_window_view(weights, steps)[support]
-    return hankel, inflow
+    return _hankel_rows(pair, grid, support), inflow
 
 
-def _readout(response: FloatArray, hankel: FloatArray, inflow: FloatArray) -> float:
+def _readout(
+    response: FloatArray, lag_weights: FloatArray, inflow: FloatArray
+) -> tuple[float, FloatArray]:
     """Time average of window * boundary temperature, from the boundary response.
 
-    The measurement is sum_m u_m . sum_k w_{m+k} g[k] over the support rows
-    of :func:`_support_rows`, one (Hankel) @ (N x n_mu/2 n_omega) product.
-    Every measurement goes through this one reduction, so synthetic data and
-    the losses that recompute them agree bit for bit.
+    The measurement is sum_m u_m . sum_k w_{m+k} g[k], read from the rows of
+    :func:`_readout_rows`: (lag weights) @ (N x n_mu/2 n_omega), then one dot
+    product with the inflow rows.  Every measurement goes through this one
+    reduction, so synthetic data and the losses that recompute them agree
+    bit for bit.  Returns the measurement and the windowed response rows,
+    which the gradient reuses.
     """
-    lagged = hankel @ response.reshape(response.shape[0], -1)
-    return float(lagged.ravel() @ inflow.ravel())
+    windowed = lag_weights @ response.reshape(response.shape[0], -1)
+    return float(windowed.ravel() @ inflow.ravel()), windowed
 
 
 def _measure(
@@ -195,7 +231,7 @@ def _measure(
     """One readout; losses keep the response's stack for the gradient that follows."""
     _require_window_fit(pair, grid)
     response = boundary_response(material, grid, keep_stack)
-    return _readout(response, *_support_rows(pair, material, grid))
+    return _readout(response, *_readout_rows(pair, material, grid))[0]
 
 
 def forward_map(
@@ -299,26 +335,32 @@ def loss_and_gradient(
     _require_window_fit(pair, grid)
     datum = _require_datum(pair)
     response = boundary_response(material, grid, keep_stack=True)
-    hankel, inflow = _support_rows(pair, material, grid)
-    measured = _readout(response, hankel, inflow)
+    lag_weights, inflow = _readout_rows(pair, material, grid)
+    measured, windowed = _readout(response, lag_weights, inflow)
     mismatch = measured - datum
 
     _, half, n_omega = response.shape
-    lagged = (hankel.T @ inflow.reshape(-1, half * n_omega)).reshape(response.shape)
+    cells, rows, n_x = half * n_omega, 2 * grid.n_x, grid.n_x
+    inflow = inflow.reshape(-1, cells)
+    lagged = (lag_weights.T @ inflow).reshape(response.shape)
     density_weights = grid.mu_omega_mean[half:].ravel()
-    collision = np.zeros(n_omega)
-    equilibrium = np.zeros(half * n_omega)
+    # T1's row sums are one matrix-vector product per lag, accumulated per
+    # (mu, omega) cell; the mu sum is taken once, after the march.
+    ones = np.ones(rows)
+    product = _aligned_empty((rows, cells))
+    row_total = np.empty(cells)
+    collision = np.zeros(cells)
+    equilibrium = np.zeros(cells)
 
     def pair_sheets(k: int, lam: FloatArray, cotangent: FloatArray) -> None:
         nonlocal collision, equilibrium
-        rows = lam.shape[0]
-        n_x = rows // 2
-        collision += np.einsum(
-            "ij,ij->j", lam.reshape(-1, n_omega), cotangent.reshape(-1, n_omega)
-        )
-        row_sums = lam.reshape(rows, -1) @ density_weights
+        lam, cotangent = lam.reshape(rows, -1), cotangent.reshape(rows, -1)
+        np.multiply(lam, cotangent, out=product)
+        np.matmul(ones, product, out=row_total)
+        collision += row_total
+        row_sums = lam @ density_weights
         density = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
-        equilibrium += np.concatenate((density, density[::-1])) @ cotangent.reshape(rows, -1)
+        equilibrium += np.concatenate((density, density[::-1])) @ cotangent
 
     solve_adjoint(material, grid, mismatch, lagged, on_step=pair_sheets)
 
@@ -327,12 +369,13 @@ def loss_and_gradient(
     relax = grid.dt / (grid.epsilon**2 * tau)
     kernel = relax * h_star / h_star_mean
     shift = grid.omega_mean * h_star / (tau * h_star_mean)
+    collision_sum = collision.reshape(half, n_omega).sum(axis=0)
     equilibrium_sum = equilibrium.reshape(half, n_omega).sum(axis=0)
-    inflow_sum = np.einsum(
-        "ij,ij->j", lagged.reshape(-1, n_omega), response.reshape(-1, n_omega)
-    )
+    # sum_k c_k . g[k] per omega, with c = lag_weights^T inflow, is the
+    # windowed response rows against the inflow rows.
+    inflow_sum = (windowed * inflow).reshape(-1, n_omega).sum(axis=0)
     derivative = (
-        (relax / tau) * collision
+        (relax / tau) * collision_sum
         - (2.0 * kernel / tau) * equilibrium_sum
         + shift * float(kernel @ equilibrium_sum)
         + mismatch * (measured * shift - inflow_sum / tau)

@@ -72,10 +72,25 @@ class BoundarySource:
     widths: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        for name in ("t0", "mu0", "omega0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.mu0 < 1.0:
             raise ValueError(f"mu0 must lie in (0, 1), got {self.mu0}")
-        if len(self.widths) != 3 or any(w <= 0.0 for w in self.widths):
-            raise ValueError(f"widths must be three positive values, got {self.widths}")
+        if len(self.widths) != 3 or not all(0.0 < w < math.inf for w in self.widths):
+            raise ValueError(
+                f"widths must be three finite positive values, got {self.widths}"
+            )
+
+    def factors(
+        self, t: FloatArray, mu: FloatArray, omega: FloatArray
+    ) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """The pulse's unit-peak factors in t, mu and omega; phi is their product."""
+        return (
+            gaussian_bump(np.asarray(t) - self.t0, self.widths[0]),
+            gaussian_bump(np.asarray(mu) - self.mu0, self.widths[1]),
+            gaussian_bump(np.asarray(omega) - self.omega0, self.widths[2]),
+        )
 
 
 def gaussian_bump(z: FloatArray, width: float) -> FloatArray:
@@ -87,11 +102,8 @@ def gaussian_source(params: BoundarySource) -> SourceFunction:
     """Separable boundary pulse phi(t, mu, omega); broadcasts over arrays."""
 
     def phi(t: FloatArray, mu: FloatArray, omega: FloatArray) -> FloatArray:
-        return (
-            gaussian_bump(np.asarray(t) - params.t0, params.widths[0])
-            * gaussian_bump(np.asarray(mu) - params.mu0, params.widths[1])
-            * gaussian_bump(np.asarray(omega) - params.omega0, params.widths[2])
-        )
+        in_t, in_mu, in_omega = params.factors(t, mu, omega)
+        return in_t * in_mu * in_omega
 
     return phi
 
@@ -202,10 +214,11 @@ class _StepTables:
     is one contiguous elementwise pass.  The mu < 0 half's Courant numbers
     are exactly the negated mirror images of the mu > 0 half's (the nodes
     are symmetrized), so one |Courant| table serves both.  ``h_star`` is the
-    (n_mu/2, n_omega) table the density multiplies.  The (mu, omega) weights
-    are symmetric in mu, so ``density_weights``, the mu > 0 half's table
-    flattened in the sheet's column order, weights both halves; the density
-    divides by ``h_star_mean``.
+    (n_mu/2, n_omega) table the density multiplies, and ``h_star_rows`` the
+    same table as the right operand of :func:`_outer_into`.  The (mu, omega)
+    weights are symmetric in mu, so ``density_weights``, the mu > 0 half's
+    table flattened in the sheet's column order, weights both halves; the
+    density divides by ``h_star_mean``.
     """
 
     courant: FloatArray
@@ -214,11 +227,26 @@ class _StepTables:
     h_star_mean: float
     density_weights: FloatArray
 
+    @functools.cached_property
+    def h_star_rows(self) -> FloatArray:
+        """h* as the right operand of :func:`_outer_into`."""
+        return _outer_rows(self.h_star)
+
     # The transposed step's tables, built on first use.
     @functools.cached_property
     def readout(self) -> FloatArray:
         """w / mean_omega h*, (n_mu/2, n_omega): the temperature's weight per cell."""
         return self.density_weights.reshape(self.h_star.shape) / self.h_star_mean
+
+    @functools.cached_property
+    def readout_rows(self) -> FloatArray:
+        """The readout weights as the right operand of :func:`_outer_into`."""
+        return _outer_rows(self.readout)
+
+    @functools.cached_property
+    def folded(self) -> FloatArray:
+        """(2 n_x, 2), zero but for the folded sums the transposed step writes in column 0."""
+        return np.zeros((self.relax.shape[0], 2))
 
     @functools.cached_property
     def keep(self) -> FloatArray:
@@ -248,6 +276,29 @@ def _step_tables(material: MaterialModel, grid: PhaseGrid) -> _StepTables:
         h_star_mean=mean_omega(material.h_star, grid),
         density_weights=grid.mu_omega_mean[half:].ravel(),
     )
+
+
+def _outer_rows(table: FloatArray) -> FloatArray:
+    """(2, table.size): ``table`` flattened into row 0, zeros in row 1."""
+    rows = np.zeros((2, table.size))
+    rows[0] = table.ravel()
+    return rows
+
+
+def _outer_into(column: FloatArray, rows: FloatArray, out: FloatArray) -> None:
+    """Write column[:, 0] (outer) rows[0] into the contiguous sheet ``out``.
+
+    Both steps' collision terms are such an outer product: a per-row factor
+    times a (mu, omega) table.  ``column`` (n, 2) and ``rows`` (2, cells)
+    are zero in their second column and row, so each entry of the K = 2
+    matrix product is the one rounded product plus +0.0: bit for bit the
+    outer product, but for a -0.0 that becomes +0.0.  numpy hands it to BLAS
+    GEMM.  On a sec52 sheet (102 x 320) it took 7.5-8.5 us, against
+    19-27 us for ``np.einsum``, 24 us for ``np.dot`` with K = 1 (which
+    allocates its result), 27-35 us for a broadcast multiply and 75-96 us
+    for ``np.matmul`` with K = 1 into ``out``.
+    """
+    np.matmul(column, rows, out=out.reshape(column.shape[0], -1))
 
 
 def _aligned_empty(shape: tuple[int, ...]) -> FloatArray:
@@ -316,7 +367,7 @@ def _integrate(
     rows = 2 * n_x
     sheet_shape = (rows, half, n_omega)
     tables = _step_tables(material, grid)
-    courant, relax_coef, h_star = tables.courant, tables.relax, tables.h_star
+    courant, relax_coef, h_star_rows = tables.courant, tables.relax, tables.h_star_rows
     h_star_mean, density_weights = tables.h_star_mean, tables.density_weights
 
     stack = None
@@ -328,7 +379,9 @@ def _integrate(
         sheets[0].fill(0.0)
     upwind = _aligned_empty((rows - 1, half, n_omega))
     row_sums = np.empty(rows)
-    density = np.zeros(rows)
+    # The density lives in column 0 of _outer_into's left operand.
+    density_column = np.zeros((rows, 2))
+    density = density_column[:, 0]
     left = np.zeros((n_t, n_mu, n_omega)) if keep_left_trace else None
     inflow = np.empty((min(_INFLOW_BLOCK_STEPS, n_t - 1), half, n_omega))
 
@@ -354,7 +407,7 @@ def _integrate(
         new = sheets[n] if store_trajectory else sheets[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
-        np.einsum("x,mo->xmo", density, h_star, out=new)
+        _outer_into(density_column, h_star_rows, new)
         new -= state
         new *= relax_coef
         new += state
@@ -425,8 +478,10 @@ def _transposed_step(
     q[n_x] = 0.0
     q[0] = 0.0
     row_sums = q.reshape(rows, -1) @ tables.relax_h_star
-    folded = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
-    np.einsum("x,mo->xmo", np.concatenate((folded, folded[::-1])), tables.readout, out=out)
+    folded = tables.folded
+    np.add(row_sums[:n_x], row_sums[: n_x - 1 : -1], out=folded[:n_x, 0])
+    folded[n_x:, 0] = folded[n_x - 1 :: -1, 0]
+    _outer_into(folded, tables.readout_rows, out)
     np.multiply(tables.keep, q, out=scratch)
     out += scratch
     np.multiply(tables.courant, q[1:], out=scratch[:-1])

@@ -371,6 +371,65 @@ class TestReadoutSupport:
         assert full_hankel_readout(response, pair, material_guess, grid) == 0.0
 
 
+class TestRankOneReadout:
+    """A Gaussian pulse's readout as one row, against the full Hankel sum."""
+
+    @staticmethod
+    def assert_matches_full(material, grid, pair, rtol=1e-13):
+        response = boundary_response(material, grid)
+        lag_weights, inflow = inverse._readout_rows(pair, material, grid)
+        assert lag_weights.shape == (1, grid.n_t - 1)
+        expected = full_hankel_readout(response, pair, material, grid)
+        assert expected > 0.0
+        assert abs(forward_map(material, grid, pair) - expected) <= rtol * expected
+        # The gradient's lagged inflow, lag_weights^T inflow, against the
+        # Hankel transpose times the whole inflow table.
+        steps = grid.n_t - 1
+        table = (source_values(pair.source, grid)[1:] / material.tau).reshape(steps, -1)
+        hankel = inverse._hankel_rows(pair, grid, np.arange(steps))
+        np.testing.assert_allclose(
+            lag_weights.T @ inflow.reshape(1, -1), hankel.T @ table, rtol=rtol, atol=1e-300
+        )
+
+    def test_sweep_pairs(self, material_guess, grid, sweep_pairs):
+        for pair in sweep_pairs:
+            self.assert_matches_full(material_guess, grid, pair)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        t0=st.floats(0.0, 0.3),
+        mu0=st.floats(0.05, 0.99),
+        omega0=st.floats(0.4, 4.0),
+        width_t=st.floats(0.005, 0.1),
+        width_mu=st.floats(0.005, 0.5),
+        width_omega=st.floats(0.05, 2.0),
+    )
+    def test_drawn_pulses(
+        self, material_guess, short_grid, t0, mu0, omega0, width_t, width_mu, width_omega
+    ):
+        source = BoundarySource(t0, mu0, omega0, (width_t, width_mu, width_omega))
+        pair = SourceTestPair(source, test_center=0.3, test_width=0.05)
+        self.assert_matches_full(material_guess, short_grid, pair)
+
+    def test_callable_pairs_take_the_hankel_path(self, material_guess, short_grid, monkeypatch):
+        calls = []
+
+        def recording(pair, material, grid):
+            calls.append(pair)
+            return _support_rows(pair, material, grid)
+
+        monkeypatch.setattr(inverse, "_support_rows", recording)
+        pulse = BoundarySource(0.05, 0.9, 2.0, (0.02, 0.05, 0.3))
+        phi = transport.gaussian_source(pulse)
+        callable_pair = SourceTestPair(phi, test_center=0.3, test_width=0.05)
+        pulse_pair = SourceTestPair(pulse, test_center=0.3, test_width=0.05)
+        by_hankel = forward_map(material_guess, short_grid, callable_pair)
+        assert calls == [callable_pair]
+        by_rank_one = forward_map(material_guess, short_grid, pulse_pair)
+        assert calls == [callable_pair]
+        assert abs(by_rank_one - by_hankel) <= 1e-13 * by_hankel
+
+
 def fd_disagreements(material, grid, pair, gradient, directions, steps=(1e-3, 1e-4)):
     """Worst relative gap between the gradient pairing and central differences, per step."""
     worst = []

@@ -31,6 +31,8 @@ from phonon_inverse.transport import (
     solve_forward_batch,
 )
 from transport_reference import (
+    einsum_outer,
+    einsum_transposed_step,
     fold,
     reference_inflow,
     reference_march,
@@ -100,6 +102,23 @@ class TestBoundarySource:
             BoundarySource(t0=0.1, mu0=0.9, omega0=2.0, widths=(0.01, -0.01, 0.1))
         with pytest.raises(ValueError, match="widths"):
             BoundarySource(t0=0.1, mu0=0.9, omega0=2.0, widths=(0.01, 0.1))
+
+    @pytest.mark.parametrize("field", ["t0", "mu0", "omega0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_center(self, field, value):
+        fields = dict(t0=0.1, mu0=0.9, omega0=2.0, widths=(0.01, 0.01, 0.1))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BoundarySource(**fields)
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_width(self, axis, value):
+        # A NaN width is not <= 0, and an infinite one gives a flat pulse.
+        widths = [0.01, 0.01, 0.1]
+        widths[axis] = value
+        with pytest.raises(ValueError, match="widths must be three finite positive"):
+            BoundarySource(t0=0.1, mu0=0.9, omega0=2.0, widths=tuple(widths))
 
     def test_unit_peak_at_center(self):
         phi = gaussian_source(BEAM)
@@ -490,6 +509,45 @@ class TestAgainstReferenceMarch:
         added_rows = long.moments.nbytes - short.moments.nbytes
         block = inflow_block_bytes(baseline_grid(t_end=1.0, n_mu=16))
         assert long_peak - short_peak <= added_rows + block
+
+
+class TestEinsumReference:
+    """Both steps' K = 2 outer products against their einsum form, bit for bit."""
+
+    @staticmethod
+    def outputs(material, grid, monkeypatch):
+        weights = np.stack([grid.mu_omega_mean, grid.mu_omega_mean * grid.mu_nodes[:, None]])
+        traces = solve_forward(material, grid, BEAM, store_trajectory=False)
+        moments = solve_forward(
+            material, grid, BEAM, store_trajectory=False, keep_left_trace=False,
+            moment_weights=weights,
+        )
+        monkeypatch.setattr(transport, "_last_response", None)
+        bare = boundary_response(material, grid)
+        stacked = boundary_response(material, grid, keep_stack=True)
+        stack = transport._last_response[3].copy()
+        final = solve_adjoint(material, grid, 0.7, TestSolveAdjoint.lagged(grid, material))
+        return {
+            "left trace": traces.left_trace, "moments": moments.moments,
+            "response": bare, "stacked response": stacked, "stack": stack,
+            "lambda_0": final,
+        }
+
+    @pytest.mark.parametrize("overrides", [
+        dict(t_end=0.5, epsilon=0.8),
+        dict(t_end=1.65),
+        dict(dx=1.0, t_end=0.5, n_mu=8),
+    ], ids=["short", "sec52", "two-x-nodes"])
+    def test_marches_match_the_einsum_steps(self, material, monkeypatch, overrides):
+        grid = baseline_grid(**overrides)
+        with monkeypatch.context() as patched:
+            patched.setattr(transport, "_outer_into", einsum_outer)
+            patched.setattr(transport, "_transposed_step", einsum_transposed_step)
+            expected = self.outputs(material, grid, patched)
+        actual = self.outputs(material, grid, monkeypatch)
+        for name, value in expected.items():
+            assert np.abs(value).max() > 0.0, name
+            assert np.array_equal(actual[name], value), name
 
 
 class TestSolveAdjoint:

@@ -8,7 +8,8 @@ differs from the solver, so the two agree to rounding.  :func:`unfold` and
 :func:`fold` convert between that layout and the solver's sheets, in which
 stored trajectories are returned.  It also keeps the measurement as it was
 read before the boundary response: the windowed average of a march's x = 0
-temperature.
+temperature; and both steps' collision term in ``np.einsum`` form, which
+the solver's K = 2 matrix products must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from phonon_inverse.collision import mean_omega, temperature_of
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
-from phonon_inverse.transport import BoundarySource, gaussian_source
+from phonon_inverse.transport import BoundarySource, _StepTables, gaussian_source
 
 
 def unfold(states: FloatArray) -> FloatArray:
@@ -97,3 +98,28 @@ def windowed_trace_average(
     """
     boundary_temperature = temperature_of(left_trace, material, grid)
     return float((boundary_temperature * window_values) @ grid.t_mean)
+
+
+def einsum_outer(column: FloatArray, rows: FloatArray, out: FloatArray) -> None:
+    """``transport._outer_into`` as an ``np.einsum`` outer product."""
+    np.einsum("x,mo->xmo", column[:, 0], rows[0].reshape(out.shape[1:]), out=out)
+
+
+def einsum_transposed_step(
+    q: FloatArray, out: FloatArray, tables: _StepTables, scratch: FloatArray
+) -> None:
+    """``transport._transposed_step`` with its collision term in ``np.einsum`` form."""
+    rows = q.shape[0]
+    n_x = rows // 2
+    q[-2] += q[-1]
+    q[-1] = 0.0
+    q[n_x - 1] += q[n_x]
+    q[n_x] = 0.0
+    q[0] = 0.0
+    row_sums = q.reshape(rows, -1) @ tables.relax_h_star
+    folded = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
+    np.einsum("x,mo->xmo", np.concatenate((folded, folded[::-1])), tables.readout, out=out)
+    np.multiply(tables.keep, q, out=scratch)
+    out += scratch
+    np.multiply(tables.courant, q[1:], out=scratch[:-1])
+    out[:-1] += scratch[:-1]

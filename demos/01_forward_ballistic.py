@@ -36,9 +36,7 @@ print(f"analytic round-trip arrival: t = {predicted:.4f}")
 # -- solve, keeping phase-space snapshots at a few times ----------------------
 
 snapshot_times = (0.1, 0.3, 0.5, 0.7, 0.9, 1.2)
-trajectory = solve_forward(
-    material, grid, pulse, store_trajectory=False, snapshot_times=snapshot_times,
-)
+trajectory = solve_forward(material, grid, pulse, snapshot_times=snapshot_times)
 
 # The pulse crosses the slab: track the center of mass of the mu-averaged
 # energy density until the reflection turns it around.

@@ -30,7 +30,6 @@ from phonon_inverse.inverse import (
     central_difference,
     fd_gradient_oracle,
     forward_map,
-    forward_map_batch,
     frechet_gradient,
     frequency_sweep_pairs,
     generate_data,
@@ -105,7 +104,6 @@ __all__ = [
     "eval_velocity",
     "fd_gradient_oracle",
     "forward_map",
-    "forward_map_batch",
     "frechet_gradient",
     "frequency_sweep_pairs",
     "gaussian_bump",

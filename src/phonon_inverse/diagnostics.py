@@ -112,14 +112,14 @@ def compute_macro_trace(
 ) -> MacroTrace:
     """Run the forward solver in streaming-moment mode and extract the trace.
 
-    The march keeps only (n_t, n_x, 2) moments and one final state: no stack,
-    no boundary trace and no inflow table, so beyond those outputs its memory
+    The march keeps only (n_t, n_x, 2) moments and one final state: no
+    boundary trace and no inflow table, so beyond those outputs its memory
     does not grow with the number of steps.  This handles long small-epsilon
     runs whose full trajectories would not fit comfortably in memory.
     """
     weights = _macro_moment_weights(material, grid)
     traj = solve_forward(
-        material, grid, source, store_trajectory=False, keep_left_trace=False,
+        material, grid, source, keep_left_trace=False,
         moment_weights=weights, snapshot_times=[grid.t_nodes[-1]],
     )
     temperature = traj.moments[:, :, 0]

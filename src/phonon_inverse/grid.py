@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,10 +184,14 @@ class PhaseGrid:
 def build_grid(config: GridConfig) -> PhaseGrid:
     """Construct the phase-space grid, validating its parameters.
 
-    Raises ``ValueError`` for nonpositive spacings, an odd number of mu nodes
-    (a mu = 0 node would break both upwinding and the specular-reflection
-    pairing), omega_min <= 0, an empty horizon or domain, and epsilon <= 0.
+    Raises ``ValueError`` for a nonfinite parameter, nonpositive spacings, an
+    odd number of mu nodes (a mu = 0 node would break both upwinding and the
+    specular-reflection pairing), omega_min <= 0, an empty horizon or domain,
+    and epsilon <= 0.
     """
+    for name, value in vars(config).items():
+        if name != "n_mu" and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     for label, value in (("dt", config.dt), ("dx", config.dx), ("domega", config.domega)):
         if not value > 0.0:
             raise ValueError(f"{label} must be positive, got {value}")

@@ -31,18 +31,19 @@ pairing to its own O(step^2) truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from phonon_inverse.collision import mean_omega
 from phonon_inverse.grid import FloatArray, PhaseGrid
 from phonon_inverse.material import MaterialModel
 from phonon_inverse.transport import (
     BoundarySource,
     SourceFunction,
     _aligned_empty,
+    _step_tables,
     boundary_response,
     gaussian_bump,
     solve_adjoint,
@@ -68,8 +69,10 @@ class SourceTestPair:
     datum: float | None = None
 
     def __post_init__(self) -> None:
-        if self.test_width <= 0.0:
-            raise ValueError(f"test_width must be positive, got {self.test_width}")
+        if not math.isfinite(self.test_center):
+            raise ValueError(f"test_center must be finite, got {self.test_center}")
+        if not 0.0 < self.test_width < math.inf:
+            raise ValueError(f"test_width must be finite and positive, got {self.test_width}")
 
     def window(self, t: FloatArray) -> FloatArray:
         """The readout window psi(t), a unit-peak Gaussian at test_center."""
@@ -243,23 +246,13 @@ def forward_map(
     return _measure(material, grid, pair)
 
 
-def forward_map_batch(
-    material: MaterialModel,
-    grid: PhaseGrid,
-    pairs: Sequence[SourceTestPair],
-) -> FloatArray:
-    """Measurements for several experiments, one :func:`forward_map` each."""
-    return np.array([forward_map(material, grid, pair) for pair in pairs])
-
-
 def generate_data(
     material: MaterialModel,
     grid: PhaseGrid,
     pairs: Sequence[SourceTestPair],
 ) -> list[SourceTestPair]:
     """Attach noise-free synthetic measurements computed from this material."""
-    data = forward_map_batch(material, grid, pairs)
-    return [replace(pair, datum=float(value)) for pair, value in zip(pairs, data)]
+    return [replace(pair, datum=forward_map(material, grid, pair)) for pair in pairs]
 
 
 def _require_datum(pair: SourceTestPair) -> float:
@@ -343,7 +336,7 @@ def loss_and_gradient(
     cells, rows, n_x = half * n_omega, 2 * grid.n_x, grid.n_x
     inflow = inflow.reshape(-1, cells)
     lagged = (lag_weights.T @ inflow).reshape(response.shape)
-    density_weights = grid.mu_omega_mean[half:].ravel()
+    tables = _step_tables(material, grid)
     # T1's row sums are one matrix-vector product per lag, accumulated per
     # (mu, omega) cell; the mu sum is taken once, after the march.
     ones = np.ones(rows)
@@ -358,16 +351,14 @@ def loss_and_gradient(
         np.multiply(lam, cotangent, out=product)
         np.matmul(ones, product, out=row_total)
         collision += row_total
-        row_sums = lam @ density_weights
+        row_sums = lam @ tables.density_weights
         density = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
         equilibrium += np.concatenate((density, density[::-1])) @ cotangent
 
     solve_adjoint(material, grid, mismatch, lagged, on_step=pair_sheets)
 
-    tau, h_star = material.tau, material.h_star
-    h_star_mean = mean_omega(h_star, grid)
-    relax = grid.dt / (grid.epsilon**2 * tau)
-    kernel = relax * h_star / h_star_mean
+    tau, h_star, h_star_mean = material.tau, tables.h_star, tables.h_star_mean
+    kernel = tables.relaxation * h_star / h_star_mean
     shift = grid.omega_mean * h_star / (tau * h_star_mean)
     collision_sum = collision.reshape(half, n_omega).sum(axis=0)
     equilibrium_sum = equilibrium.reshape(half, n_omega).sum(axis=0)
@@ -375,7 +366,7 @@ def loss_and_gradient(
     # windowed response rows against the inflow rows.
     inflow_sum = (windowed * inflow).reshape(-1, n_omega).sum(axis=0)
     derivative = (
-        (relax / tau) * collision_sum
+        (tables.relaxation / tau) * collision_sum
         - (2.0 * kernel / tau) * equilibrium_sum
         + shift * float(kernel @ equilibrium_sum)
         + mismatch * (measured * shift - inflow_sum / tau)

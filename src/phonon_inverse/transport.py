@@ -6,8 +6,7 @@ Forward problem: in the scaled variables h = g/tau,
 
 on x in [0, 1], starting from h = 0, with Dirichlet inflow h = phi/tau at
 x = 0 for mu > 0, specular reflection at x = 1, and free outflow at x = 0 for
-mu < 0.  The march holds the slab unfolded at its specular face, and stored
-solves return their states in that sheet layout.
+mu < 0.  The march holds the slab unfolded at its specular face.
 
 Measurements read only the x = 0 temperature.  The march is linear in its
 inflow, its coefficients do not change in time and it starts from zero, so
@@ -35,7 +34,7 @@ discrete maximum principle, which the copy-type boundary rules keep.  The
 von Neumann condition on the x-checkerboard mode, c + r/2 <= 1, is only
 necessary.  The solver checks the advective bound c <= 1, the relaxation
 bound r <= 1/2 and the joint bound c + r <= 1 against the actual material
-before stepping.
+whenever it builds a step's coefficients, so no march runs unchecked.
 """
 
 from __future__ import annotations
@@ -114,20 +113,15 @@ _INFLOW_BLOCK_STEPS = 64
 
 @dataclass(frozen=True)
 class Trajectory:
-    """What a forward solve kept: the stack, the x = 0 trace, moments, snapshots.
+    """What a forward solve kept: the x = 0 trace, moments, snapshots.
 
     Each field is None unless the solve asked for it, and only the fields
     asked for grow with the number of time steps; the march itself works in
     a fixed number of sheets and one block of inflow rows.
 
-    ``values`` is the march's own stack of unfolded sheets (see
-    :func:`_integrate`), shape (n_t, 2 n_x, n_mu/2, n_omega).  Row r < n_x
-    of a sheet is the state at (x_r, +|mu_c|) and row 2 n_x - 1 - r the
-    state at (x_r, -|mu_c|), with column c running over the mu > 0 nodes.
-    ``left_trace`` is the x = 0 slice in (t, mu, omega) layout,
-    shape (n_t, n_mu, n_omega).  The first time slice is the initial
-    condition exactly (no boundary overwrite is applied at the starting
-    instant).
+    ``left_trace`` is the x = 0 slice in (t, mu, omega) layout, shape
+    (n_t, n_mu, n_omega).  The first time slice is the initial condition
+    exactly (no boundary overwrite is applied at the starting instant).
 
     ``moments`` holds streamed (mu, omega)-weighted reductions of the field,
     shape (n_t, n_x, K) for K requested weight tables — the memory-friendly
@@ -136,14 +130,15 @@ class Trajectory:
     recorded in ``snapshot_times``).
     """
 
-    values: FloatArray | None
     left_trace: FloatArray | None
     moments: FloatArray | None = None
     snapshots: FloatArray | None = None
     snapshot_times: tuple[float, ...] | None = None
 
 
-def _validate_stability(material: MaterialModel, grid: PhaseGrid) -> None:
+def _validate_stability(
+    material: MaterialModel, grid: PhaseGrid, courant: FloatArray, relaxation: FloatArray
+) -> None:
     epsilon = grid.epsilon
     max_speed = material.max_characteristic_speed(grid.mu_nodes)
     advective_limit = epsilon * grid.dx / max_speed
@@ -160,18 +155,15 @@ def _validate_stability(material: MaterialModel, grid: PhaseGrid) -> None:
         )
     # The joint bound c + r <= 1 per (mu, omega) cell; both numbers scale
     # with dt, so dt / max(c + r) is the largest step that meets it.
-    half = grid.n_mu // 2
-    courant = (grid.dt / (epsilon * grid.dx)) * grid.mu_nodes[half:, None] * material.velocity
-    relaxation = np.broadcast_to(grid.dt / (epsilon**2 * material.tau), courant.shape)
     joint = courant + relaxation
     worst = np.unravel_index(np.argmax(joint), joint.shape)
     if joint[worst] > 1.0 + 1e-12:
         raise ValueError(
             f"joint stability violation: c + r = {joint[worst]:.6g} exceeds 1 at "
-            f"|mu| = {grid.mu_nodes[half + worst[0]]:.6g}, "
+            f"|mu| = {grid.mu_nodes[grid.n_mu // 2 + worst[0]]:.6g}, "
             f"omega = {material.omega_nodes[worst[1]]:.6g} "
             f"(Courant number c = {courant[worst]:.6g}, relaxation number "
-            f"r = {relaxation[worst]:.6g}); the largest admissible dt is "
+            f"r = {relaxation[worst[1]]:.6g}); the largest admissible dt is "
             f"{grid.dt / joint[worst]:.6g}"
         )
 
@@ -209,34 +201,37 @@ def _inflow_from_source(
 class _StepTables:
     """Coefficients of one step on the unfolded sheet, shared by both marches.
 
-    ``courant`` (2 n_x - 1, n_mu/2, n_omega) and ``relax`` (2 n_x, n_mu/2,
-    n_omega) are spread over the sheet rows they act on, so that each update
-    is one contiguous elementwise pass.  The mu < 0 half's Courant numbers
-    are exactly the negated mirror images of the mu > 0 half's (the nodes
-    are symmetrized), so one |Courant| table serves both.  ``h_star`` is the
-    (n_mu/2, n_omega) table the density multiplies, and ``h_star_rows`` the
-    same table as the right operand of :func:`_outer_into`.  The (mu, omega)
-    weights are symmetric in mu, so ``density_weights``, the mu > 0 half's
-    table flattened in the sheet's column order, weights both halves; the
-    density divides by ``h_star_mean``.
+    ``courant_cells`` (n_mu/2, n_omega) holds the mu > 0 cells' Courant
+    numbers, which the mu < 0 half mirrors exactly (the nodes are
+    symmetrized), and ``relaxation`` (n_omega) the relaxation numbers.  The
+    density multiplies ``h_star`` (n_omega) and divides by ``h_star_mean``;
+    the (mu, omega) weights are symmetric in mu, so ``density_weights``, the
+    mu > 0 half's table in the sheet's column order, weights both halves.
+    A gradient reads only these fields.  The marches' tables are built on
+    first use; ``courant`` spreads the Courant numbers over the sheet rows
+    that take an upwind difference, so each update is one contiguous pass.
     """
 
-    courant: FloatArray
-    relax: FloatArray
+    rows: int
+    courant_cells: FloatArray
+    relaxation: FloatArray
     h_star: FloatArray
     h_star_mean: float
     density_weights: FloatArray
 
-    @functools.cached_property
-    def h_star_rows(self) -> FloatArray:
-        """h* as the right operand of :func:`_outer_into`."""
-        return _outer_rows(self.h_star)
+    def _spread(self, table: FloatArray, rows: int) -> FloatArray:
+        return np.broadcast_to(table, (rows, *self.courant_cells.shape)).copy()
 
-    # The transposed step's tables, built on first use.
+    @functools.cached_property
+    def courant(self) -> FloatArray:
+        """|c| on sheet rows 1 .. rows - 1, the rows that take an upwind difference."""
+        return self._spread(self.courant_cells, self.rows - 1)
+
+    # The transposed step's tables.
     @functools.cached_property
     def readout(self) -> FloatArray:
         """w / mean_omega h*, (n_mu/2, n_omega): the temperature's weight per cell."""
-        return self.density_weights.reshape(self.h_star.shape) / self.h_star_mean
+        return self.density_weights.reshape(self.courant_cells.shape) / self.h_star_mean
 
     @functools.cached_property
     def readout_rows(self) -> FloatArray:
@@ -245,34 +240,33 @@ class _StepTables:
 
     @functools.cached_property
     def folded(self) -> FloatArray:
-        """(2 n_x, 2), zero but for the folded sums the transposed step writes in column 0."""
-        return np.zeros((self.relax.shape[0], 2))
+        """(rows, 2), zero but for the folded sums the transposed step writes in column 0."""
+        return np.zeros((self.rows, 2))
 
     @functools.cached_property
     def keep(self) -> FloatArray:
         """1 - r - c over the whole sheet."""
-        keep = 1.0 - self.relax
-        keep -= self.courant[0]
+        keep = self._spread(1.0 - self.relaxation, self.rows)
+        keep -= self.courant_cells
         return keep
 
     @functools.cached_property
     def relax_h_star(self) -> FloatArray:
-        """r h*, flattened in the sheet's column order."""
-        return (self.relax[0] * self.h_star).ravel()
+        """r h* per cell, flattened in the sheet's column order."""
+        return np.broadcast_to(self.relaxation * self.h_star, self.courant_cells.shape).ravel()
 
 
 def _step_tables(material: MaterialModel, grid: PhaseGrid) -> _StepTables:
-    half, n_omega, rows = grid.n_mu // 2, grid.n_omega, 2 * grid.n_x
-    epsilon = grid.epsilon
+    """The step's coefficients for this material and grid, checked for stability."""
+    half, epsilon = grid.n_mu // 2, grid.epsilon
+    courant = (grid.dt / (epsilon * grid.dx)) * grid.mu_nodes[half:, None] * material.velocity
+    relaxation = grid.dt / (epsilon**2 * material.tau)
+    _validate_stability(material, grid, courant, relaxation)
     return _StepTables(
-        courant=np.broadcast_to(
-            (grid.dt / (epsilon * grid.dx)) * grid.mu_nodes[half:, None] * material.velocity,
-            (rows - 1, half, n_omega),
-        ).copy(),
-        relax=np.broadcast_to(
-            grid.dt / (epsilon**2 * material.tau), (rows, half, n_omega)
-        ).copy(),
-        h_star=np.broadcast_to(material.h_star, (half, n_omega)).copy(),
+        rows=2 * grid.n_x,
+        courant_cells=courant,
+        relaxation=relaxation,
+        h_star=material.h_star,
         h_star_mean=mean_omega(material.h_star, grid),
         density_weights=grid.mu_omega_mean[half:].ravel(),
     )
@@ -328,12 +322,11 @@ def _integrate(
     grid: PhaseGrid,
     fill_inflow: Callable[[int, int, FloatArray], None],
     label: str,
-    store_trajectory: bool = False,
     keep_left_trace: bool = False,
     moment_weights: FloatArray | None = None,
     snapshot_steps: Sequence[int] = (),
     on_step: Callable[[int, FloatArray], None] | None = None,
-) -> tuple[FloatArray | None, FloatArray | None, FloatArray | None, FloatArray | None]:
+) -> tuple[FloatArray | None, FloatArray | None, FloatArray | None]:
     """March the forward-form system for one source from a zero state.
 
     The state is the slab unfolded at its specular face: one contiguous
@@ -354,29 +347,23 @@ def _integrate(
     n_omega) requests streamed per-step reductions; ``snapshot_steps``
     requests full state copies at those step indices (a step may be asked
     for more than once); ``on_step(n, sheet)``, if given, sees each new
-    unfolded sheet, which is only valid during the call.  Returns (stack,
-    left trace, moments, snapshots), each None unless asked for.  With
-    ``store_trajectory`` the march steps straight through the slots of the
-    (n_t, 2 n_x, n_mu/2, n_omega) stack: slot n - 1 is the state and slot n
-    the new state.  The left trace is in (t, mu, omega) layout and the
+    unfolded sheet, which the march overwrites two steps later (the last
+    one, never).  Returns (left trace, moments, snapshots), each None
+    unless asked for; the left trace is in (t, mu, omega) layout and the
     snapshots in (x, mu, omega) layout.
     """
+    tables = _step_tables(material, grid)
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
-    state_shape = (n_x, n_mu, n_omega)
     rows = 2 * n_x
     sheet_shape = (rows, half, n_omega)
-    tables = _step_tables(material, grid)
-    courant, relax_coef, h_star_rows = tables.courant, tables.relax, tables.h_star_rows
-    h_star_mean, density_weights = tables.h_star_mean, tables.density_weights
+    courant, h_star_mean = tables.courant, tables.h_star_mean
+    density_weights = tables.density_weights
+    relax_coef = np.broadcast_to(tables.relaxation, sheet_shape).copy()
+    h_star_rows = _outer_rows(np.broadcast_to(tables.h_star, (half, n_omega)))
 
-    stack = None
-    if store_trajectory:
-        sheets = stack = np.empty((n_t, *sheet_shape))
-        sheets[0] = 0.0
-    else:
-        sheets = [_aligned_empty(sheet_shape), _aligned_empty(sheet_shape)]
-        sheets[0].fill(0.0)
+    sheets = [_aligned_empty(sheet_shape), _aligned_empty(sheet_shape)]
+    sheets[0].fill(0.0)
     upwind = _aligned_empty((rows - 1, half, n_omega))
     row_sums = np.empty(rows)
     # The density lives in column 0 of _outer_into's left operand.
@@ -395,7 +382,7 @@ def _integrate(
     for j, step in enumerate(snapshot_steps):
         snapshot_slots.setdefault(int(step), []).append(j)
     snapshots = (
-        np.zeros((len(snapshot_steps), *state_shape)) if snapshot_steps else None
+        np.zeros((len(snapshot_steps), n_x, n_mu, n_omega)) if snapshot_steps else None
     )
 
     state = sheets[0]
@@ -404,7 +391,7 @@ def _integrate(
         if n == block_stop:
             block_start, block_stop = n, min(n + _INFLOW_BLOCK_STEPS, n_t)
             fill_inflow(block_start, block_stop, inflow[: block_stop - block_start])
-        new = sheets[n] if store_trajectory else sheets[n % 2]
+        new = sheets[n % 2]
         # Collision pulls toward the kernel direction h*; edge rows receive a
         # partial update here and are overwritten by the boundary rules below.
         _outer_into(density_column, h_star_rows, new)
@@ -447,13 +434,13 @@ def _integrate(
             on_step(n, new)
         state = new
 
-    kept = [0 if a is None else a.nbytes for a in (left, moments, snapshots, stack)]
+    kept = [0 if a is None else a.nbytes for a in (left, moments, snapshots)]
     logger.debug(
         "%s solve: %d steps, epsilon=%g; kept bytes: left trace %d, moments %d, "
-        "snapshots %d, stack %d",
+        "snapshots %d",
         label, n_t - 1, grid.epsilon, *kept,
     )
-    return stack, left, moments, snapshots
+    return left, moments, snapshots
 
 
 def _transposed_step(
@@ -505,7 +492,6 @@ def solve_forward(
     material: MaterialModel,
     grid: PhaseGrid,
     source: BoundarySource | SourceFunction,
-    store_trajectory: bool = True,
     moment_weights: FloatArray | None = None,
     snapshot_times: Sequence[float] = (),
     keep_left_trace: bool = True,
@@ -519,21 +505,18 @@ def solve_forward(
     inflow rows are set to phi/tau.
 
     The march keeps only what is asked for (see :class:`Trajectory`): the
-    stack of unfolded sheets with ``store_trajectory``, the x = 0 trace with
-    ``keep_left_trace``, streamed ``moment_weights`` reductions and
-    full-state ``snapshot_times`` copies.  Without the stack, its memory is
+    x = 0 trace with ``keep_left_trace``, streamed ``moment_weights``
+    reductions and full-state ``snapshot_times`` copies.  Its memory is
     those outputs plus a few sheets and one block of inflow rows, whatever
     the number of steps.
     """
-    _validate_stability(material, grid)
     steps = _snapshot_steps(grid, snapshot_times)
-    values, left, moments, snapshots = _integrate(
+    left, moments, snapshots = _integrate(
         material, grid, _inflow_from_source(source, material, grid), label="forward",
-        store_trajectory=store_trajectory, keep_left_trace=keep_left_trace,
-        moment_weights=moment_weights, snapshot_steps=steps,
+        keep_left_trace=keep_left_trace, moment_weights=moment_weights,
+        snapshot_steps=steps,
     )
     return Trajectory(
-        values=values,
         left_trace=left,
         moments=moments,
         snapshots=snapshots,
@@ -549,15 +532,13 @@ def solve_forward_batch(
     """Left boundary traces for several pulses, one march per pulse.
 
     Returns shape (len(sources), n_t, n_mu, n_omega); row i is bitwise equal
-    to ``solve_forward(..., store_trajectory=False).left_trace`` for
-    ``sources[i]``.  Stability is validated once for the shared material.
+    to ``solve_forward(...).left_trace`` for ``sources[i]``.
     """
-    _validate_stability(material, grid)
     return np.stack([
         _integrate(
             material, grid, _inflow_from_source(source, material, grid),
             label="forward-batch", keep_left_trace=True,
-        )[1]
+        )[0]
         for source in sources
     ])
 
@@ -584,18 +565,18 @@ def boundary_response(
 
     The last result is kept: a call with the same grid object and a
     material with equal tau, velocity, g* and frequency nodes returns the
-    same read-only array.  With ``keep_stack`` the march steps through the
-    slots of an (n_t - 1, 2 n_x, n_mu/2, n_omega) stack that the memo keeps
-    for :func:`solve_adjoint`: slot k ends up holding B^T q_k, the cotangent
-    with the step's boundary rules transposed, which is what the
-    transposed step leaves in its input (the last slot holds q_k itself).
+    same read-only array, without a second stability check.  With
+    ``keep_stack`` the march steps through the slots of an (n_t - 1, 2 n_x,
+    n_mu/2, n_omega) stack that the memo keeps for :func:`solve_adjoint`:
+    slot k ends up holding B^T q_k, the cotangent with the step's boundary
+    rules transposed, which is what the transposed step leaves in its input
+    (the last slot holds q_k itself).
     A memo entry without a stack is marched again when one is asked for;
     one with a stack serves every call.  Only one stack exists at a time:
     a new march drops the memo's and reuses its buffer when the shape
     matches.
     """
     global _last_response
-    _validate_stability(material, grid)
     key = tuple(
         a.tobytes()
         for a in (material.tau, material.velocity, material.g_star, material.omega_nodes)
@@ -608,7 +589,7 @@ def boundary_response(
         _last_response = None
 
     tables = _step_tables(material, grid)
-    steps, sheet_shape = grid.n_t - 1, (2 * grid.n_x, *tables.readout.shape)
+    steps, sheet_shape = grid.n_t - 1, (tables.rows, *tables.readout.shape)
     if keep_stack:
         if stack is None or stack.shape != (steps, *sheet_shape):
             stack = np.empty((steps, *sheet_shape))
@@ -673,7 +654,7 @@ def solve_adjoint(
     boundary_response(material, grid, keep_stack=True)
     stack = _last_response[3]
     reversed_lags = lagged_inflow[::-1]
-    final = np.empty_like(stack[0])
+    final: list[FloatArray] = []
 
     def fill_inflow(start: int, stop: int, out: FloatArray) -> None:
         np.multiply(mismatch_value, reversed_lags[start - 1 : stop - 1], out=out)
@@ -681,9 +662,9 @@ def solve_adjoint(
     def paired(n: int, sheet: FloatArray) -> None:
         k = steps - 1 - n
         if k < 0:
-            final[...] = sheet
+            final.append(sheet)
         elif on_step is not None:
             on_step(k, sheet, stack[k])
 
     _integrate(material, grid, fill_inflow, label="adjoint", on_step=paired)
-    return final
+    return final[0]

@@ -218,7 +218,6 @@ class TestBallisticArrival:
             material,
             run_grid,
             gaussian_source(params),
-            store_trajectory=False,
         )
         trace = np.asarray(temperature_of(trajectory.left_trace, material, run_grid))
         # The injection transient dominates the raw maximum; the echo is the

@@ -6,6 +6,7 @@ injected at mu0 = 0.99) keeps each solve to a couple hundred time steps.
 """
 
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phonon_inverse import cli
 from phonon_inverse.cli import (
     ExperimentConfig,
     assemble_config,
@@ -189,6 +191,29 @@ class TestAssembly:
         config = assemble_config("fig1", None, None)
         assert config.diffusion.epsilons == (0.2, 0.1, 0.05)
         assert len(config.diffusion.dts) == 3
+
+    # sha256 of each preset's effective config as config.ini echoes it.  A
+    # changed default moves a paper study; this makes that change explicit.
+    PRESET_INI_SHA256 = {
+        "fig1": "5f8f6bc8cdff8cd186911a2378730335a9032148b46ebb36187e6d7ea28510bc",
+        "fig4": "2f497efbe02d4a093674d4cb3531e2467f63b3cc542851e5be4d8a94e1835f17",
+        "fig5": "f472ea2ad0f0f06a27a81f09e924b94ce7ed2e54c09446b9a18c103a81799f9b",
+        "sec52": "5f8f6bc8cdff8cd186911a2378730335a9032148b46ebb36187e6d7ea28510bc",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_INI_SHA256))
+    def test_preset_effective_config_is_frozen(self, preset):
+        text = assemble_config(preset, None, None).to_ini()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PRESET_INI_SHA256[preset]
+
+    @pytest.mark.parametrize("preset", ["fig1", "sec52"])
+    def test_default_studies_are_the_defaults(self, preset):
+        assert assemble_config(preset, None, None) == assemble_config(None, None, None)
+
+    def test_preset_names_only_known_keys(self, monkeypatch):
+        monkeypatch.setitem(cli._PRESETS, "typo", "[grid]\nt_edn = 1.5\n")
+        with pytest.raises(ValueError, match="unknown key 't_edn' in \\[grid\\]"):
+            assemble_config("typo", None, None)
 
 
 class TestForwardCommand:
@@ -379,6 +404,18 @@ class TestGenerateData:
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert "pairs.csv" in outputs["1"]
         assert outputs["1"] == outputs["2"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pairs", "test_width", "nan"),
+        ("grid", "epsilon", "inf"),
+        ("grid", "t_end", "nan"),
+    ])
+    def test_nonfinite_parameter_refused_by_name(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        argv = ["generate-data", "--preset", "sec52", "--config", str(path),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     def test_datum_matches_library_path(self, tmp_path):
         config_path = write_config(tmp_path, CHEAP_PAIR_INI)

@@ -25,7 +25,6 @@ from phonon_inverse.material import (
 )
 from phonon_inverse.transport import BoundarySource, solve_forward
 from diagnostics_reference import heat_flux, macro_trace_from_values, solve_heat_reference
-from transport_reference import fold
 
 BEAM = BoundarySource(t0=0.04, mu0=0.96, omega0=2.0, widths=(0.01, 0.01, 0.1))
 
@@ -68,9 +67,9 @@ def material(grid):
 
 @pytest.fixture(scope="module")
 def short_run(material):
-    """A stored ballistic trajectory, in (t, x, mu, omega) layout, for moment cross-checks."""
+    """Ballistic states at every time node, (t, x, mu, omega), for moment cross-checks."""
     g = baseline_grid(t_end=0.3)
-    return g, fold(solve_forward(material, g, BEAM).values)
+    return g, solve_forward(material, g, BEAM, snapshot_times=g.t_nodes).snapshots
 
 
 @pytest.fixture(scope="module")
@@ -474,9 +473,7 @@ class TestChapmanEnskogResidual:
         measured = {}
         for eps, dt in ((1.0, 0.005), (0.1, 0.0005), (0.05, 0.00025)):
             g = baseline_grid(dt=dt, t_end=0.3, epsilon=eps)
-            traj = solve_forward(
-                material, g, BEAM, store_trajectory=False, snapshot_times=[0.3]
-            )
+            traj = solve_forward(material, g, BEAM, snapshot_times=[0.3])
             measured[eps] = chapman_enskog_residual(
                 to_g(traj.snapshots[0], material), material, g
             )

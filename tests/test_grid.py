@@ -101,6 +101,17 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="omega_min"):
             build_grid(baseline_config(omega_min=0.0))
 
+    @pytest.mark.parametrize("field", [
+        "dt", "dx", "domega", "t_end", "omega_min", "omega_max",
+        "t_start", "x_start", "x_end", "epsilon",
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_parameter(self, field, value):
+        # An infinite epsilon would freeze the march (c = r = 0), and a
+        # nonfinite span would fail later, in the node count, naming nothing.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build_grid(baseline_config(**{field: value}))
+
     def test_nodes_are_immutable(self, grid):
         with pytest.raises(ValueError):
             grid.mu_nodes[0] = 0.0

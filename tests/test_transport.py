@@ -21,6 +21,7 @@ from phonon_inverse import transport
 from phonon_inverse.transport import (
     BoundarySource,
     _fold,
+    _integrate,
     _step_tables,
     _transposed_step,
     boundary_response,
@@ -80,15 +81,35 @@ def material(grid):
     return build_material(ground_truth_tau(), default_g_star(), grid.omega_nodes)
 
 
+def every_state(material, grid, source):
+    """A forward solve with a snapshot at every time node: (t, x, mu, omega) states."""
+    return solve_forward(material, grid, source, snapshot_times=grid.t_nodes)
+
+
 @pytest.fixture(scope="module")
 def beam_trajectory(grid, material):
-    return solve_forward(material, grid, BEAM)
+    return every_state(material, grid, BEAM)
 
 
 @pytest.fixture(scope="module")
 def beam_states(beam_trajectory):
-    """The stored beam trajectory in (t, x, mu, omega) layout."""
-    return fold(beam_trajectory.values)
+    """The beam's state at every time node, in (t, x, mu, omega) layout."""
+    return beam_trajectory.snapshots
+
+
+# Every march, as a call on (material, grid, source).  Each builds the step's
+# coefficients, and with them runs the stability check, before it steps; the
+# refusal tests loop over all of them.
+MARCHES = {
+    "solve_forward": lambda material, grid, source: solve_forward(material, grid, source),
+    "solve_forward_batch": lambda material, grid, source: solve_forward_batch(
+        material, grid, [source]
+    ),
+    "boundary_response": lambda material, grid, source: boundary_response(material, grid),
+    "solve_adjoint": lambda material, grid, source: solve_adjoint(
+        material, grid, 1.0, np.zeros((grid.n_t - 1, grid.n_mu // 2, grid.n_omega))
+    ),
+}
 
 
 class TestBoundarySource:
@@ -144,15 +165,15 @@ class TestBoundarySource:
 class TestSolveForward:
     def test_zero_source_stays_zero(self, material):
         grid = baseline_grid(t_end=0.1, n_mu=8)
-        traj = solve_forward(
+        traj = every_state(
             material, grid, lambda t, mu, omega: np.zeros(np.broadcast_shapes(
                 np.shape(t), np.shape(mu), np.shape(omega)))
         )
-        assert np.all(traj.values == 0.0)
+        assert np.all(traj.snapshots == 0.0)
         assert np.all(traj.left_trace == 0.0)
 
-    def test_first_slice_is_initial_condition_exactly(self, beam_trajectory):
-        assert np.all(beam_trajectory.values[0] == 0.0)
+    def test_first_slice_is_initial_condition_exactly(self, beam_states):
+        assert np.all(beam_states[0] == 0.0)
 
     def test_inflow_rows_match_source(self, grid, material, beam_states):
         # Every state after the first, across the march's inflow blocks,
@@ -177,22 +198,14 @@ class TestSolveForward:
     def test_boundary_traces_match_trajectory(self, beam_trajectory, beam_states):
         np.testing.assert_array_equal(beam_trajectory.left_trace, beam_states[:, 0])
 
-    def test_stored_stack_is_the_sheet_layout(self, grid, beam_trajectory):
-        assert beam_trajectory.values.shape == (
-            grid.n_t, 2 * grid.n_x, grid.n_mu // 2, grid.n_omega
-        )
-
     def test_traces_only_solve_matches_full(self, grid, material, beam_trajectory):
-        lean = solve_forward(material, grid, BEAM, store_trajectory=False)
-        assert lean.values is None
+        lean = solve_forward(material, grid, BEAM)
+        assert lean.snapshots is None
         np.testing.assert_array_equal(lean.left_trace, beam_trajectory.left_trace)
 
     def test_snapshots_fill_every_requested_slot(self, grid, material, beam_states):
         # 0.2004 rounds to the same node as 0.2, so three slots share node 40.
-        lean = solve_forward(
-            material, grid, BEAM, store_trajectory=False,
-            snapshot_times=(0.2, 0.1, 0.2, 0.2004),
-        )
+        lean = solve_forward(material, grid, BEAM, snapshot_times=(0.2, 0.1, 0.2, 0.2004))
         nodes = [40, 20, 40, 40]
         assert lean.snapshot_times == tuple(float(grid.t_nodes[n]) for n in nodes)
         assert np.abs(lean.snapshots[0]).max() > 0.0
@@ -207,7 +220,7 @@ class TestSolveForward:
         ]
         batch = solve_forward_batch(material, grid, sources)
         for i, src in enumerate(sources):
-            single = solve_forward(material, grid, src, store_trajectory=False)
+            single = solve_forward(material, grid, src)
             np.testing.assert_array_equal(batch[i], single.left_trace)
 
     def test_reflected_temperature_peak_near_arrival_time(
@@ -254,12 +267,12 @@ class TestSolveForward:
             BoundarySource(t0=0.1, mu0=0.5, omega0=1.0, widths=(0.02, 0.05, 0.2))
         )
         combo = lambda t, mu, omega: 2.0 * phi_a(t, mu, omega) - 3.0 * phi_b(t, mu, omega)
-        traj_a = solve_forward(material, grid, phi_a)
-        traj_b = solve_forward(material, grid, phi_b)
-        traj_c = solve_forward(material, grid, combo)
-        recombined = 2.0 * traj_a.values - 3.0 * traj_b.values
-        scale = np.abs(traj_c.values).max()
-        np.testing.assert_allclose(traj_c.values, recombined, atol=1e-12 * scale)
+        states_a = every_state(material, grid, phi_a).snapshots
+        states_b = every_state(material, grid, phi_b).snapshots
+        states_c = every_state(material, grid, combo).snapshots
+        recombined = 2.0 * states_a - 3.0 * states_b
+        scale = np.abs(states_c).max()
+        np.testing.assert_allclose(states_c, recombined, atol=1e-12 * scale)
 
     def test_refinement_converges_monotonically(self):
         def boundary_trace(dx, dt):
@@ -267,7 +280,7 @@ class TestSolveForward:
             material = build_material(
                 ground_truth_tau(), default_g_star(), grid.omega_nodes
             )
-            traj = solve_forward(material, grid, BEAM, store_trajectory=False)
+            traj = solve_forward(material, grid, BEAM)
             return grid, temperature_of(traj.left_trace, material, grid)
 
         _, finest = boundary_trace(0.005, 0.00125)
@@ -280,10 +293,10 @@ class TestSolveForward:
 
     def test_near_equilibrium_frequency_profile_at_small_epsilon(self, material):
         grid = baseline_grid(dt=0.0005, t_end=0.12, epsilon=0.1)
-        traj = solve_forward(material, grid, BEAM)
+        traj = every_state(material, grid, BEAM)
         ix = int(np.argmin(np.abs(grid.x_nodes - 0.5)))
         imu = int(np.argmin(np.abs(grid.mu_nodes - 0.9675)))
-        slice_omega = fold(traj.values[-1])[ix, imu, :]
+        slice_omega = traj.snapshots[-1][ix, imu, :]
         h_star = material.h_star
         coef = (slice_omega @ h_star) / (h_star @ h_star)
         deviation = np.linalg.norm(slice_omega - coef * h_star) / np.linalg.norm(
@@ -304,9 +317,17 @@ class TestSolveForward:
         ids=["epsilon", "names_max_speed", "scales_with_epsilon"],
     )
     def test_cfl_violation_refused(self, material, refused, accepted, match):
-        with pytest.raises(ValueError, match=match):
-            solve_forward(material, baseline_grid(t_end=0.05, **refused), BEAM)
-        solve_forward(material, baseline_grid(t_end=0.05, **accepted), BEAM)
+        for march in MARCHES.values():
+            with pytest.raises(ValueError, match=match):
+                march(material, baseline_grid(t_end=0.05, **refused), BEAM)
+            march(material, baseline_grid(t_end=0.05, **accepted), BEAM)
+
+    def test_integrate_itself_refuses_an_unstable_grid(self, material):
+        # The check lives where the step's coefficients are built, so a march
+        # started without any public entry point is refused too.
+        grid = baseline_grid(t_end=0.05, epsilon=0.1)
+        with pytest.raises(ValueError, match="CFL"):
+            _integrate(material, grid, lambda start, stop, out: out.fill(0.0), label="bare")
 
     def test_relaxation_violation_refused(self):
         grid = build_grid(
@@ -316,10 +337,9 @@ class TestSolveForward:
             )
         )
         sluggish = build_material(constant_tau(0.1), constant_g_star(1.0), grid.omega_nodes)
-        with pytest.raises(ValueError, match="relaxation"):
-            solve_forward(
-                sluggish, grid, BoundarySource(0.1, 0.5, 1.2, (0.05, 0.05, 0.2))
-            )
+        for march in MARCHES.values():
+            with pytest.raises(ValueError, match="relaxation"):
+                march(sluggish, grid, BoundarySource(0.1, 0.5, 1.2, (0.05, 0.05, 0.2)))
 
     @staticmethod
     def joint_case(dt_scale):
@@ -342,13 +362,14 @@ class TestSolveForward:
         pulse = BoundarySource(0.02, 0.9, 2.0, (0.005, 0.05, 0.2))
         inflow = reference_inflow(pulse, material, grid)
         assert np.abs(reference_march(material, grid, inflow)[-1]).max() > 1e20
-        with pytest.raises(
-            ValueError,
-            match=r"c \+ r = 1\.334.*\|mu\| = 0\.989401, omega = 0\.4 "
-                  r"\(Courant number c = 1, relaxation number r = 0\.33412\); "
-                  r"the largest admissible dt is 0\.000313053",
-        ):
-            solve_forward(material, grid, pulse)
+        for march in MARCHES.values():
+            with pytest.raises(
+                ValueError,
+                match=r"c \+ r = 1\.334.*\|mu\| = 0\.989401, omega = 0\.4 "
+                      r"\(Courant number c = 1, relaxation number r = 0\.33412\); "
+                      r"the largest admissible dt is 0\.000313053",
+            ):
+                march(material, grid, pulse)
 
     def test_inside_joint_bound_obeys_maximum_principle(self):
         # At 0.7 of the advective limit, c + r = 0.93: every update of
@@ -356,9 +377,9 @@ class TestSolveForward:
         # inflow's.
         grid, material = self.joint_case(0.7)
         pulse = BoundarySource(0.02, 0.9, 2.0, (0.005, 0.05, 0.2))
-        traj = solve_forward(material, grid, pulse)
+        traj = every_state(material, grid, pulse)
         inflow_max = (reference_inflow(pulse, material, grid) / material.h_star).max()
-        u = traj.values / material.h_star
+        u = traj.snapshots / material.h_star
         assert u.min() >= 0.0
         assert u.max() <= inflow_max * (1 + 1e-12)
 
@@ -387,8 +408,8 @@ class TestSolveForward:
             omega_min=1.0, omega_max=3.0, epsilon=epsilon,
         ))
         pulse = BoundarySource(20 * dt, 0.5, 2.0, (5 * dt, 0.5, 0.5))
-        traj = solve_forward(material, grid, pulse)
-        u = traj.values / material.h_star
+        traj = every_state(material, grid, pulse)
+        u = traj.snapshots / material.h_star
         inflow_max = (reference_inflow(pulse, material, grid) / material.h_star).max()
         assert u.min() >= 0.0
         assert u.max() <= inflow_max * (1 + 1e-12)
@@ -428,13 +449,12 @@ class TestAgainstReferenceMarch:
 
     def test_left_trace(self, small, reference):
         grid, material = small
-        traj = solve_forward(material, grid, BEAM, store_trajectory=False)
+        traj = solve_forward(material, grid, BEAM)
         assert_close_to_reference(traj.left_trace, reference[:, 0])
 
-    def test_stored_values(self, small, reference):
+    def test_every_state(self, small, reference):
         grid, material = small
-        traj = solve_forward(material, grid, BEAM)
-        assert_close_to_reference(traj.values, unfold(reference))
+        assert_close_to_reference(every_state(material, grid, BEAM).snapshots, reference)
 
     def test_moments(self, small, reference):
         grid, material = small
@@ -442,18 +462,14 @@ class TestAgainstReferenceMarch:
             grid.mu_omega_mean,
             grid.mu_nodes[:, None] * material.velocity * grid.mu_omega_mean,
         ])
-        traj = solve_forward(
-            material, grid, BEAM, store_trajectory=False, moment_weights=weights
-        )
+        traj = solve_forward(material, grid, BEAM, moment_weights=weights)
         expected = np.einsum("txmo,kmo->txk", reference, weights)
         for k in range(weights.shape[0]):
             assert_close_to_reference(traj.moments[..., k], expected[..., k])
 
     def test_snapshots(self, small, reference):
         grid, material = small
-        traj = solve_forward(
-            material, grid, BEAM, store_trajectory=False, snapshot_times=(0.9, 0.3, 0.9)
-        )
+        traj = solve_forward(material, grid, BEAM, snapshot_times=(0.9, 0.3, 0.9))
         for snapshot, n in zip(traj.snapshots, (180, 60, 180)):
             assert_close_to_reference(snapshot, reference[n])
 
@@ -487,9 +503,7 @@ class TestAgainstReferenceMarch:
         # inflow table or a per-step stack.  Five are live through the march
         # (two step tables, two states, the upwind difference); the rest is
         # phi's block and numpy's ufunc buffers while a block is filled.
-        traj, peak = traced_peak(
-            lambda: solve_forward(material, grid, BEAM, store_trajectory=False)
-        )
+        traj, peak = traced_peak(lambda: solve_forward(material, grid, BEAM))
         state_bytes = grid.n_x * grid.n_mu * grid.n_omega * 8
         assert peak <= traj.left_trace.nbytes + inflow_block_bytes(grid) + 7 * state_bytes
 
@@ -499,7 +513,7 @@ class TestAgainstReferenceMarch:
             grid = baseline_grid(t_end=t_end, n_mu=16)
             weights = np.stack([grid.mu_omega_mean, grid.mu_omega_mean])
             return traced_peak(lambda: solve_forward(
-                material, grid, BEAM, store_trajectory=False, keep_left_trace=False,
+                material, grid, BEAM, keep_left_trace=False,
                 moment_weights=weights, snapshot_times=[grid.t_nodes[-1]],
             ))
 
@@ -517,10 +531,9 @@ class TestEinsumReference:
     @staticmethod
     def outputs(material, grid, monkeypatch):
         weights = np.stack([grid.mu_omega_mean, grid.mu_omega_mean * grid.mu_nodes[:, None]])
-        traces = solve_forward(material, grid, BEAM, store_trajectory=False)
+        traces = solve_forward(material, grid, BEAM)
         moments = solve_forward(
-            material, grid, BEAM, store_trajectory=False, keep_left_trace=False,
-            moment_weights=weights,
+            material, grid, BEAM, keep_left_trace=False, moment_weights=weights,
         )
         monkeypatch.setattr(transport, "_last_response", None)
         bare = boundary_response(material, grid)
@@ -660,12 +673,11 @@ class TestStreamedInflow:
 
         def outputs():
             traj = solve_forward(
-                material, grid, BEAM, moment_weights=weights,
-                snapshot_times=(grid.t_nodes[grid.n_t // 2],),
+                material, grid, BEAM, moment_weights=weights, snapshot_times=grid.t_nodes
             )
             states = TestSolveAdjoint.states(material, grid, 1.5, lagged)
             final = solve_adjoint(material, grid, 1.5, lagged)
-            return traj.values, traj.left_trace, traj.moments, traj.snapshots, states, final
+            return traj.left_trace, traj.moments, traj.snapshots, states, final
 
         default = outputs()
         monkeypatch.setattr(transport, "_INFLOW_BLOCK_STEPS", block)
@@ -683,7 +695,7 @@ class TestStreamedInflow:
             return np.broadcast_to(np.where(t >= grid.t_nodes[step], np.inf, 0.0), shape)
 
         with pytest.raises(RuntimeError, match=f"step {step} "):
-            solve_forward(material, grid, poisoned, store_trajectory=False)
+            solve_forward(material, grid, poisoned)
 
     def test_callable_source_is_evaluated_on_time_slices(self, material):
         # n_t - 1 = 140 steps: two full blocks and a partial one.
@@ -695,7 +707,7 @@ class TestStreamedInflow:
             seen.append(np.asarray(t).ravel().copy())
             return beam(t, mu, omega)
 
-        solve_forward(material, grid, phi, store_trajectory=False)
+        solve_forward(material, grid, phi)
         assert [len(t) for t in seen] == [64, 64, 12]
         np.testing.assert_array_equal(np.concatenate(seen), grid.t_nodes[1:])
 
@@ -703,22 +715,21 @@ class TestStreamedInflow:
         grid = baseline_grid(t_end=0.2, n_mu=8)
         weights = np.stack([grid.mu_omega_mean])
         with caplog.at_level("DEBUG", logger="phonon_inverse.transport"):
-            stored = solve_forward(material, grid, BEAM)
+            traces = solve_forward(material, grid, BEAM)
             streamed = solve_forward(
-                material, grid, BEAM, store_trajectory=False, moment_weights=weights,
-                snapshot_times=(0.1,),
+                material, grid, BEAM, moment_weights=weights, snapshot_times=(0.1,)
             )
             compute_macro_trace(material, grid, BEAM)
             solve_adjoint(material, grid, 1.0, TestSolveAdjoint.lagged(grid, material))
         lines = [r.getMessage() for r in caplog.records if " solve: " in r.getMessage()]
         head = f" solve: {grid.n_t - 1} steps, epsilon=1; kept bytes: left trace "
-        left, moments = stored.left_trace.nbytes, streamed.moments.nbytes
+        left, moments = traces.left_trace.nbytes, streamed.moments.nbytes
         snapshot = streamed.snapshots.nbytes
         assert lines == [
-            f"forward{head}{left}, moments 0, snapshots 0, stack {stored.values.nbytes}",
-            f"forward{head}{left}, moments {moments}, snapshots {snapshot}, stack 0",
-            f"forward{head}0, moments {2 * moments}, snapshots {snapshot}, stack 0",
-            f"adjoint{head}0, moments 0, snapshots 0, stack 0",
+            f"forward{head}{left}, moments 0, snapshots 0",
+            f"forward{head}{left}, moments {moments}, snapshots {snapshot}",
+            f"forward{head}0, moments {2 * moments}, snapshots {snapshot}",
+            f"adjoint{head}0, moments 0, snapshots 0",
         ]
 
 
@@ -869,3 +880,12 @@ class TestBoundaryResponse:
     def test_stability_checked(self, material):
         with pytest.raises(ValueError, match="CFL"):
             boundary_response(material, baseline_grid(dt=0.05, t_end=0.5, n_mu=8))
+
+    def test_memo_hit_skips_the_stability_check(self, small, monkeypatch):
+        # The memo's key pins the material, so a hit needs no second check.
+        grid, material = small
+        first = boundary_response(material, grid)
+        calls = []
+        monkeypatch.setattr(transport, "_validate_stability", lambda *a: calls.append(a))
+        assert boundary_response(material, grid) is first
+        assert calls == []

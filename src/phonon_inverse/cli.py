@@ -37,6 +37,7 @@ import configparser
 import csv
 import dataclasses
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -284,6 +285,11 @@ class ExperimentConfig:
         Grid and material constructors re-validate their own invariants; this
         adds the cross-field and enum checks they cannot see.
         """
+        for name in _SECTION_ORDER:
+            for key, value in vars(getattr(self, name)).items():
+                for v in value if isinstance(value, tuple) else (value,):
+                    if isinstance(v, float) and not math.isfinite(v):
+                        raise ValueError(f"[{name}] {key} must be finite, got {value}")
         _tau_profile(self.material.tau)
         _tau_profile(self.optimizer.initial_tau)
         _g_star_profile(self.material.g_star)
@@ -484,9 +490,7 @@ def _preset_parser(name: str) -> configparser.ConfigParser:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")

@@ -42,16 +42,9 @@ def _node_count(start: float, end: float, step: float) -> int:
 
 
 def _trapezoid_weights(nodes: FloatArray) -> FloatArray:
-    """Trapezoid quadrature weights for a uniform 1-D grid.
-
-    A single-node axis gets weight 1 so that the normalized mean degenerates
-    to the value itself.
-    """
-    n = nodes.size
-    if n == 1:
-        return np.ones(1)
+    """Trapezoid quadrature weights for a uniform 1-D grid of at least two nodes."""
     step = float(nodes[1] - nodes[0])
-    weights = np.full(n, step)
+    weights = np.full(nodes.size, step)
     weights[0] = 0.5 * step
     weights[-1] = 0.5 * step
     return weights
@@ -187,7 +180,7 @@ def build_grid(config: GridConfig) -> PhaseGrid:
     Raises ``ValueError`` for a nonfinite parameter, nonpositive spacings, an
     odd number of mu nodes (a mu = 0 node would break both upwinding and the
     specular-reflection pairing), omega_min <= 0, an empty horizon or domain,
-    and epsilon <= 0.
+    a dt or dx that would leave its axis a single node, and epsilon <= 0.
     """
     for name, value in vars(config).items():
         if name != "n_mu" and not math.isfinite(value):
@@ -219,6 +212,9 @@ def build_grid(config: GridConfig) -> PhaseGrid:
     x_nodes = config.x_start + config.dx * np.arange(
         _node_count(config.x_start, config.x_end, config.dx), dtype=float
     )
+    for label, nodes in (("dt", t_nodes), ("dx", x_nodes)):
+        if nodes.size < 2:
+            raise ValueError(f"{label} = {getattr(config, label)} is wider than its span")
     omega_nodes = config.omega_min + config.domega * np.arange(
         _node_count(config.omega_min, config.omega_max, config.domega), dtype=float
     )

@@ -22,7 +22,7 @@ the discrete loss.  tau enters in three places: the inflow phi/tau, the
 readout's normalization by mean_omega h*, and the step itself through the
 relaxation number r = dt / (epsilon^2 tau) and h* = g*/tau.  The first two
 are closed-form; the step's share pairs each state of one adjoint march
-with the cotangent sheet the response march kept for that lag.  The result
+with the response's kept cotangent sheet for that lag.  The result
 is a nodal gradient vector g such that the directional derivative of the
 loss along a tau-perturbation d equals the frequency-grid pairing
 ``omega_inner(g, d)``; a centered finite-difference oracle cross-checks that
@@ -228,13 +228,14 @@ def _readout(
 def _measure(
     material: MaterialModel,
     grid: PhaseGrid,
-    pair: SourceTestPair,
+    pairs: Sequence[SourceTestPair],
     keep_stack: bool = False,
-) -> float:
-    """One readout; losses keep the response's stack for the gradient that follows."""
-    _require_window_fit(pair, grid)
-    response = boundary_response(material, grid, keep_stack)
-    return _readout(response, *_readout_rows(pair, material, grid))[0]
+) -> list[float]:
+    """Readouts from one response; losses keep its stack for the gradient that follows."""
+    for pair in pairs:
+        _require_window_fit(pair, grid)
+    g = boundary_response(material, grid, keep_stack).g
+    return [_readout(g, *_readout_rows(pair, material, grid))[0] for pair in pairs]
 
 
 def forward_map(
@@ -243,7 +244,7 @@ def forward_map(
     pair: SourceTestPair,
 ) -> float:
     """The scalar measurement: window-averaged boundary temperature at x = 0."""
-    return _measure(material, grid, pair)
+    return _measure(material, grid, [pair])[0]
 
 
 def generate_data(
@@ -270,7 +271,7 @@ def loss(
 ) -> tuple[float, float]:
     """Half-squared misfit and its signed mismatch: (l^2 / 2, l)."""
     datum = _require_datum(pair)
-    mismatch = _measure(material, grid, pair, keep_stack=True) - datum
+    mismatch = _measure(material, grid, [pair], keep_stack=True)[0] - datum
     return 0.5 * mismatch * mismatch, mismatch
 
 
@@ -280,9 +281,10 @@ def total_loss(
     pairs: Sequence[SourceTestPair],
 ) -> float:
     """Mean of the per-experiment losses over the whole collection."""
+    if not pairs:
+        raise ValueError("total loss needs at least one pair")
     data = np.array([_require_datum(pair) for pair in pairs])
-    measured = [_measure(material, grid, pair, keep_stack=True) for pair in pairs]
-    mismatches = np.array(measured) - data
+    mismatches = np.array(_measure(material, grid, pairs, keep_stack=True)) - data
     return float(np.mean(0.5 * mismatches**2))
 
 
@@ -306,8 +308,8 @@ def loss_and_gradient(
     The mismatch is read as every measurement is, so the loss equals
     :func:`loss` bit for bit.  The readout is y = sum_k c_k . g[k], with
     c_k = sum_m w_{m+k} u_m the window-weighted inflow at lag k and g the
-    boundary response.  One adjoint march (:func:`solve_adjoint`) pairs its
-    states lambda_{k+1} with the response march's kept sheets B^T q_k into
+    boundary response.  The states lambda_{k+1} of one adjoint march
+    (:func:`solve_adjoint`) pair with slot k of the response's stack, B^T q_k:
 
         T1 = sum lambda B^T q,   T2 = sum_rows D(lambda) sum_mu B^T q,
 
@@ -329,13 +331,13 @@ def loss_and_gradient(
     datum = _require_datum(pair)
     response = boundary_response(material, grid, keep_stack=True)
     lag_weights, inflow = _readout_rows(pair, material, grid)
-    measured, windowed = _readout(response, lag_weights, inflow)
+    measured, windowed = _readout(response.g, lag_weights, inflow)
     mismatch = measured - datum
 
-    _, half, n_omega = response.shape
+    _, half, n_omega = response.g.shape
     cells, rows, n_x = half * n_omega, 2 * grid.n_x, grid.n_x
     inflow = inflow.reshape(-1, cells)
-    lagged = (lag_weights.T @ inflow).reshape(response.shape)
+    lagged = (lag_weights.T @ inflow).reshape(response.g.shape)
     tables = _step_tables(material, grid)
     # T1's row sums are one matrix-vector product per lag, accumulated per
     # (mu, omega) cell; the mu sum is taken once, after the march.
@@ -345,9 +347,9 @@ def loss_and_gradient(
     collision = np.zeros(cells)
     equilibrium = np.zeros(cells)
 
-    def pair_sheets(k: int, lam: FloatArray, cotangent: FloatArray) -> None:
+    def pair_sheets(k: int, lam: FloatArray) -> None:
         nonlocal collision, equilibrium
-        lam, cotangent = lam.reshape(rows, -1), cotangent.reshape(rows, -1)
+        lam, cotangent = lam.reshape(rows, -1), response.stack[k].reshape(rows, -1)
         np.multiply(lam, cotangent, out=product)
         np.matmul(ones, product, out=row_total)
         collision += row_total

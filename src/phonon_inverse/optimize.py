@@ -216,8 +216,8 @@ def sgd_step_armijo(
     If no step above alpha_max / 2^30 qualifies, the iterate is left unchanged
     and the skip is counted and logged.
     """
-    if c <= 0.0 or alpha_max <= 0.0:
-        raise ValueError(f"c and alpha_max must be positive, got c={c}, alpha_max={alpha_max}")
+    if not (0.0 < c < math.inf and 0.0 < alpha_max < math.inf):
+        raise ValueError(f"c and alpha_max must be finite and positive, got {c}, {alpha_max}")
     index = _draw_sample(state, objective)
     current_loss, gradient = objective.loss_and_gradient(state.tau, index)
     _require_finite_gradient(gradient, index, state)
@@ -281,8 +281,8 @@ def sgd_step_adagrad(
     the update then follows (delta I + G)^(-1/2) g, computed by symmetric
     eigendecomposition with negative eigenvalues (roundoff) clamped to zero.
     """
-    if alpha <= 0.0 or delta <= 0.0:
-        raise ValueError(f"alpha and delta must be positive, got alpha={alpha}, delta={delta}")
+    if not (0.0 < alpha < math.inf and 0.0 < delta < math.inf):
+        raise ValueError(f"alpha and delta must be finite and positive, got {alpha}, {delta}")
     index = _draw_sample(state, objective)
     current_loss, gradient = objective.loss_and_gradient(state.tau, index)
     _require_finite_gradient(gradient, index, state)
@@ -393,15 +393,10 @@ def gradient_geometry(
     norms = np.array([inverse.omega_norm(g, grid) for g in stack])
     n = stack.shape[0]
     cosines = np.full((n, n), np.nan)
-    for i in range(n):
-        if norms[i] == 0.0:
-            continue
-        for j in range(n):
-            if norms[j] == 0.0:
-                continue
-            cosines[i, j] = inverse.omega_inner(stack[i], stack[j], grid) / (
-                norms[i] * norms[j]
-            )
+    live = np.flatnonzero(norms)
+    for i in live:
+        for j in live:
+            cosines[i, j] = inverse.omega_inner(stack[i], stack[j], grid) / (norms[i] * norms[j])
     return norms, cosines
 
 

@@ -18,8 +18,9 @@ and every readout of every source becomes a small dense sum.
 Gradients are reverse mode through that transposed march.  A readout is
 sum_k c_k . g[k] with c_k the window-weighted inflow at lag k; its adjoint
 is a plain forward march with inflow c, run by :func:`solve_adjoint`,
-whose states pair with the cotangent sheets the response march kept.  The
-gradient is therefore that of the discrete measurement, exact to rounding.
+whose states pair with the cotangent sheets the response march kept in the
+:class:`Response` it returned.  The gradient is therefore that of the
+discrete measurement, exact to rounding.
 
 Scheme: first-order upwind in x, forward Euler in t, explicit collision.
 Per (mu, omega) cell, with the Courant number c = dt |mu| v / (epsilon dx)
@@ -326,7 +327,7 @@ def _integrate(
     moment_weights: FloatArray | None = None,
     snapshot_steps: Sequence[int] = (),
     on_step: Callable[[int, FloatArray], None] | None = None,
-) -> tuple[FloatArray | None, FloatArray | None, FloatArray | None]:
+) -> tuple[FloatArray | None, FloatArray | None, FloatArray | None, FloatArray]:
     """March the forward-form system for one source from a zero state.
 
     The state is the slab unfolded at its specular face: one contiguous
@@ -348,9 +349,9 @@ def _integrate(
     requests full state copies at those step indices (a step may be asked
     for more than once); ``on_step(n, sheet)``, if given, sees each new
     unfolded sheet, which the march overwrites two steps later (the last
-    one, never).  Returns (left trace, moments, snapshots), each None
-    unless asked for; the left trace is in (t, mu, omega) layout and the
-    snapshots in (x, mu, omega) layout.
+    one, never).  Returns (left trace, moments, snapshots, last sheet), the
+    first three None unless asked for; the left trace is in (t, mu, omega)
+    layout and the snapshots in (x, mu, omega) layout.
     """
     tables = _step_tables(material, grid)
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
@@ -440,7 +441,7 @@ def _integrate(
         "snapshots %d",
         label, n_t - 1, grid.epsilon, *kept,
     )
-    return left, moments, snapshots
+    return left, moments, snapshots, state
 
 
 def _transposed_step(
@@ -511,7 +512,7 @@ def solve_forward(
     the number of steps.
     """
     steps = _snapshot_steps(grid, snapshot_times)
-    left, moments, snapshots = _integrate(
+    left, moments, snapshots, _ = _integrate(
         material, grid, _inflow_from_source(source, material, grid), label="forward",
         keep_left_trace=keep_left_trace, moment_weights=moment_weights,
         snapshot_steps=steps,
@@ -543,75 +544,83 @@ def solve_forward_batch(
     ])
 
 
-# The last response computed: (grid, material key, response, cotangent stack
-# or None).  See boundary_response.
-_last_response: (
-    tuple[PhaseGrid, tuple[bytes, ...], FloatArray, FloatArray | None] | None
-) = None
+@dataclass(frozen=True)
+class Response:
+    """A :func:`boundary_response`: ``g`` and, if kept, the march's cotangent stack."""
+
+    g: FloatArray
+    stack: FloatArray | None
+
+
+# (grid, material key, response) of the last march; only boundary_response uses it.
+_last_response: tuple[PhaseGrid, tuple[bytes, ...], Response] | None = None
 
 
 def boundary_response(
     material: MaterialModel, grid: PhaseGrid, keep_stack: bool = False
-) -> FloatArray:
+) -> Response:
     """Sensitivity of the x = 0 temperature to the inflow at every time lag.
 
-    Returns ``g`` of shape (n_t - 1, n_mu/2, n_omega): the temperature at
-    step n is sum_k g[k] . inflow[n - k] over the inflow rows written at
+    The read-only ``g`` has shape (n_t - 1, n_mu/2, n_omega): the temperature
+    at step n is sum_k g[k] . inflow[n - k] over the inflow rows written at
     steps 1 .. n, exactly as :func:`solve_forward` marches it.  The march is
     linear in its inflow, its coefficients do not change in time and it
-    starts from zero, so ``g[k]`` is row 0 of the cotangent q_k = (A^T)^k q_0,
-    where A is one step with zero inflow and q_0 holds the readout weights
-    on the two x = 0 rows; one march serves every source and window.
+    starts from zero, so ``g[k]`` is row 0 of the cotangent
+    q_k = (A^T)^k q_0, where A is one step with zero inflow and q_0 holds
+    the readout weights on the two x = 0 rows; one march serves every
+    source and window.  With ``keep_stack`` the march steps through the
+    slots of an (n_t - 1, 2 n_x, n_mu/2, n_omega) stack, which the response
+    keeps for the gradient: slot k ends up holding B^T q_k, the
+    cotangent with the step's boundary rules transposed, which is what the
+    transposed step leaves in its input (the last slot holds q_k itself).
 
     The last result is kept: a call with the same grid object and a
     material with equal tau, velocity, g* and frequency nodes returns the
-    same read-only array, without a second stability check.  With
-    ``keep_stack`` the march steps through the slots of an (n_t - 1, 2 n_x,
-    n_mu/2, n_omega) stack that the memo keeps for :func:`solve_adjoint`:
-    slot k ends up holding B^T q_k, the cotangent with the step's boundary
-    rules transposed, which is what the transposed step leaves in its input
-    (the last slot holds q_k itself).
-    A memo entry without a stack is marched again when one is asked for;
-    one with a stack serves every call.  Only one stack exists at a time:
-    a new march drops the memo's and reuses its buffer when the shape
-    matches.
+    same :class:`Response`, without a second stability check.  An entry
+    without a stack is marched again when one is asked for; one with a
+    stack serves every call.  A new march drops the kept response, and a
+    stacked one reuses the dropped stack's buffer when the shape matches.
+    So a response's stack is valid until the next stacked march at another
+    material or grid.
     """
     global _last_response
     key = tuple(
         a.tobytes()
         for a in (material.tau, material.velocity, material.g_star, material.omega_nodes)
     )
-    stack = None
+    kept = None
     if _last_response is not None:
-        kept_grid, kept_key, response, stack = _last_response
-        if kept_grid is grid and kept_key == key and (stack is not None or not keep_stack):
-            return response
-        _last_response = None
+        kept_grid, kept_key, kept = _last_response
+        if kept_grid is grid and kept_key == key and (kept.stack is not None or not keep_stack):
+            return kept
 
     tables = _step_tables(material, grid)
     steps, sheet_shape = grid.n_t - 1, (tables.rows, *tables.readout.shape)
+    g = np.empty((steps, *tables.readout.shape))
+    scratch = _aligned_empty(sheet_shape)
+    # The kept entry goes; a stacked march writes into its stack's buffer.
+    stack = kept.stack if keep_stack and kept is not None else None
+    _last_response = kept = None
     if keep_stack:
         if stack is None or stack.shape != (steps, *sheet_shape):
             stack = np.empty((steps, *sheet_shape))
         stack[0] = 0.0
         sheets = stack
     else:
-        stack = None
         sheets = [_aligned_empty(sheet_shape), _aligned_empty(sheet_shape)]
         sheets[0].fill(0.0)
-    scratch = _aligned_empty(sheet_shape)
     cotangent = sheets[0]
     cotangent[0] = tables.readout
     cotangent[-1] = tables.readout
-    response = np.empty((steps, *tables.readout.shape))
-    response[0] = tables.readout
+    g[0] = tables.readout
     for k in range(1, steps):
         new = sheets[k] if keep_stack else sheets[k % 2]
         _transposed_step(cotangent, new, tables, scratch)
-        response[k] = new[0]
+        g[k] = new[0]
         cotangent = new
-    response.setflags(write=False)
-    _last_response = (grid, key, response, stack)
+    g.setflags(write=False)
+    response = Response(g, stack)
+    _last_response = (grid, key, response)
     logger.debug(
         "boundary response: %d transposed steps, stack %s",
         steps - 1, "kept" if keep_stack else "not kept",
@@ -624,7 +633,7 @@ def solve_adjoint(
     grid: PhaseGrid,
     mismatch_value: float,
     lagged_inflow: FloatArray,
-    on_step: Callable[[int, FloatArray, FloatArray], None] | None = None,
+    on_step: Callable[[int, FloatArray], None] | None = None,
 ) -> FloatArray:
     """Reverse mode through the response march, seeded with the mismatch.
 
@@ -637,12 +646,10 @@ def solve_adjoint(
 
     a plain forward march from zero whose inflow at step n is c_{N - n}.
     This march carries ``mismatch_value`` times that inflow, so its states
-    are the loss's cotangents.  The derivative of A lambda_{k+1} pairs with
-    B^T q_k, slot k of the stack the response march keeps, so
-    ``on_step(k, lam, cotangent)`` sees lambda_{k + 1} with that slot, for
-    k from N - 2 down to 0 (lambda_N is zero).  Both sheets are only valid
-    during the call.  The response is marched with its stack first unless
-    the memo already holds one.  Returns lambda_0.
+    are the loss's cotangents.  ``on_step(k, lam)`` sees lambda_{k + 1},
+    for k from N - 2 down to 0 (lambda_N is zero); the derivative of
+    A lambda_{k+1} pairs it with slot k of a response's stack.  The sheet
+    is only valid during the call.  Returns lambda_0.
     """
     half, n_omega = grid.n_mu // 2, grid.n_omega
     steps = grid.n_t - 1
@@ -651,20 +658,13 @@ def solve_adjoint(
             f"lagged inflow must have one (mu, omega) slice per time lag, shape "
             f"{(steps, half, n_omega)}, got {lagged_inflow.shape}"
         )
-    boundary_response(material, grid, keep_stack=True)
-    stack = _last_response[3]
     reversed_lags = lagged_inflow[::-1]
-    final: list[FloatArray] = []
 
     def fill_inflow(start: int, stop: int, out: FloatArray) -> None:
         np.multiply(mismatch_value, reversed_lags[start - 1 : stop - 1], out=out)
 
-    def paired(n: int, sheet: FloatArray) -> None:
-        k = steps - 1 - n
-        if k < 0:
-            final.append(sheet)
-        elif on_step is not None:
-            on_step(k, sheet, stack[k])
+    def by_lag(n: int, sheet: FloatArray) -> None:
+        if n < steps and on_step is not None:
+            on_step(steps - 1 - n, sheet)
 
-    _integrate(material, grid, fill_inflow, label="adjoint", on_step=paired)
-    return final[0]
+    return _integrate(material, grid, fill_inflow, label="adjoint", on_step=by_lag)[3]

@@ -409,6 +409,12 @@ class TestGenerateData:
         ("pairs", "test_width", "nan"),
         ("grid", "epsilon", "inf"),
         ("grid", "t_end", "nan"),
+        ("gradcheck", "step", "inf"),
+        ("source", "amplitude", "inf"),
+        ("source", "amplitude", "nan"),
+        ("diffusion", "x_probe", "nan"),
+        ("diffusion", "settle_time", "inf"),
+        ("material", "velocity", "2.5,-inf"),
     ])
     def test_nonfinite_parameter_refused_by_name(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
@@ -416,6 +422,15 @@ class TestGenerateData:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("dx", "5.0"), ("dt", "10.0")])
+    def test_spacing_wider_than_its_span_refused_by_name(self, tmp_path, capsys, key, value):
+        # Either axis would get a single node.
+        path = write_config(tmp_path, f"[grid]\n{key} = {value}\n")
+        argv = ["generate-data", "--preset", "sec52", "--config", str(path),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"{key} = {value} is wider than its span" in capsys.readouterr().err
 
     def test_datum_matches_library_path(self, tmp_path):
         config_path = write_config(tmp_path, CHEAP_PAIR_INI)

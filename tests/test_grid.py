@@ -97,6 +97,18 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="dt"):
             build_grid(baseline_config(dt=0.0))
 
+    @pytest.mark.parametrize("key, value, t_end", [
+        ("dx", 5.0, 1.5), ("dx", 1.5, 1.5), ("dt", 10.0, 1.5), ("dt", 1.0, 0.5),
+    ])
+    def test_rejects_spacing_wider_than_its_span(self, key, value, t_end):
+        # The axis would get a single node, and its spacing reads node 1.
+        with pytest.raises(ValueError, match=f"{key} = {value} is wider than its span"):
+            build_grid(baseline_config(**{key: value}, t_end=t_end))
+
+    def test_spacing_equal_to_its_span_leaves_two_nodes(self):
+        g = build_grid(baseline_config(dx=1.0, dt=0.5, t_end=0.5))
+        assert (g.n_x, g.n_t) == (2, 2)
+
     def test_rejects_nonpositive_omega_min(self):
         with pytest.raises(ValueError, match="omega_min"):
             build_grid(baseline_config(omega_min=0.0))

@@ -10,7 +10,7 @@ Frozen values below were measured once from this implementation at the stated
 settings and pinned as regressions.
 """
 
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,7 +350,7 @@ class TestReadoutSupport:
     """Readouts over the pulse's time support against the full Hankel sum."""
 
     def assert_matches_full(self, material, grid, pair, rtol=1e-14):
-        response = boundary_response(material, grid)
+        response = boundary_response(material, grid).g
         expected = full_hankel_readout(response, pair, material, grid)
         assert expected != 0.0
         assert abs(forward_map(material, grid, pair) - expected) <= rtol * abs(expected)
@@ -374,7 +374,7 @@ class TestReadoutSupport:
         pair = SourceTestPair(
             source=lambda t, mu, omega: 0.0 * t * mu * omega, test_center=1.0, test_width=0.08,
         )
-        response = boundary_response(material_guess, grid)
+        response = boundary_response(material_guess, grid).g
         assert forward_map(material_guess, grid, pair) == 0.0
         assert full_hankel_readout(response, pair, material_guess, grid) == 0.0
 
@@ -384,7 +384,7 @@ class TestRankOneReadout:
 
     @staticmethod
     def assert_matches_full(material, grid, pair, rtol=1e-13):
-        response = boundary_response(material, grid)
+        response = boundary_response(material, grid).g
         lag_weights, inflow = inverse._readout_rows(pair, material, grid)
         assert lag_weights.shape == (1, grid.n_t - 1)
         expected = full_hankel_readout(response, pair, material, grid)
@@ -551,7 +551,7 @@ class TestExactGradient:
         # response march are transposes of each other.
         half = grid.n_mu // 2
         readout = grid.mu_omega_mean[half:] / mean_omega(material_guess.h_star, grid)
-        response = boundary_response(material_guess, grid)
+        response = boundary_response(material_guess, grid).g
         for pair in sweep_pairs[::4]:
             hankel, inflow = _support_rows(pair, material_guess, grid)
             lagged = (hankel.T @ inflow.reshape(len(inflow), -1)).reshape(response.shape)
@@ -592,26 +592,64 @@ class TestObservability:
         assert calls == ["adjoint", "march"]
 
         calls.clear()
-        loss_and_gradient(material_guess.with_tau(material_guess.tau * 1.01), short_grid, short_pair)
+        other = material_guess.with_tau(material_guess.tau * 1.01)
+        loss_and_gradient(other, short_grid, short_pair)
         assert calls == ["transposed"] * (short_grid.n_t - 2) + ["adjoint", "march"]
-        assert transport._last_response[3] is not None
+        assert boundary_response(other, short_grid).stack is not None
 
     def test_measurements_keep_no_stack_and_losses_do(
         self, material_star, material_guess, short_grid, short_pair, monkeypatch
     ):
         generate_data(material_guess, short_grid, [short_pair])
-        assert transport._last_response[3] is None
+        assert boundary_response(material_guess, short_grid).stack is None
         calls = self.record_marches(monkeypatch)
         # A loss re-marches the bare entry with its stack; a readout then
-        # hits it, and a loss at another tau reuses the stack's buffer.
+        # hits it, and a total loss at another tau marches once, reusing
+        # the stack's buffer.
         loss(material_guess, short_grid, short_pair)
         assert calls == ["transposed"] * (short_grid.n_t - 2)
-        stack = transport._last_response[3]
+        stack = boundary_response(material_guess, short_grid).stack
         assert stack is not None
         forward_map(material_guess, short_grid, short_pair)
         assert len(calls) == short_grid.n_t - 2
-        total_loss(material_star, short_grid, [short_pair])
-        assert transport._last_response[3] is stack
+        total_loss(material_star, short_grid, [short_pair] * 3)
+        assert len(calls) == 2 * (short_grid.n_t - 2)
+        assert boundary_response(material_star, short_grid).stack is stack
+
+    def test_total_loss_fetches_one_response(
+        self, material_guess, short_grid, short_pair, monkeypatch
+    ):
+        fetched = []
+
+        def counting(*args, **kwargs):
+            fetched.append(kwargs)
+            return boundary_response(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "boundary_response", counting)
+        total_loss(material_guess, short_grid, [short_pair] * 4)
+        assert len(fetched) == 1
+
+    def test_peak_memory_of_a_gradient_at_a_memo_hit(self, material_guess, grid, sweep_pairs):
+        # Beyond the kept response, a gradient holds its lagged inflow, the
+        # adjoint's block of inflow rows (plus numpy's copy of the reversed
+        # rows while it is filled) and a few sheets: no second n_t-long
+        # array and no copy of the stack.
+        def gradient():
+            return loss_and_gradient(material_guess, grid, sweep_pairs[3])
+
+        gradient()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gradient()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        slice_bytes = (grid.n_mu // 2) * grid.n_omega * 8
+        lagged_bytes = (grid.n_t - 1) * slice_bytes
+        block_bytes = transport._INFLOW_BLOCK_STEPS * slice_bytes
+        sheet_bytes = 2 * grid.n_x * slice_bytes
+        assert peak <= lagged_bytes + 2 * block_bytes + 7 * sheet_bytes
 
 
 class TestGenerateData:
@@ -641,6 +679,13 @@ class TestLoss:
             loss(material_guess, grid, pair)
         with pytest.raises(ValueError, match="datum"):
             total_loss(material_guess, grid, [pair])
+
+    def test_total_of_no_pairs_refused_before_any_march(
+        self, material_guess, short_grid, monkeypatch
+    ):
+        monkeypatch.setattr(inverse, "boundary_response", None)
+        with pytest.raises(ValueError, match="at least one pair"):
+            total_loss(material_guess, short_grid, [])
 
     def test_half_squared_mismatch(self, material_guess, short_grid, short_pair):
         import dataclasses
@@ -787,11 +832,23 @@ class TestAlignedDirections:
         with pytest.raises(ValueError, match="min_cos"):
             gradient_aligned_directions(gradient, grid, min_cos=1.0)
 
-    def test_unreachable_min_cos_raises_instead_of_hanging(self, grid):
+    def test_unreachable_min_cos_raises_instead_of_hanging(self, grid, monkeypatch):
         # On the 10-node band a cosine of 0.99 is too rare to find three of;
-        # the capped draw loop gives up at once with a message.
-        start = time.perf_counter()
+        # the capped draw loop gives up after its last draw, with a message.
+        default_rng = np.random.default_rng
+        generators = []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng, self.draws = default_rng(seed), 0
+                generators.append(self)
+
+            def standard_normal(self, size):
+                self.draws += 1
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
         with pytest.raises(ValueError, match="min_cos"):
             gradient_aligned_directions(np.ones(grid.n_omega), grid, min_cos=0.99)
-        assert time.perf_counter() - start < 1.0
+        assert [g.draws for g in generators] == [inverse._MAX_DIRECTION_DRAWS]
 

@@ -157,7 +157,9 @@ class TestArmijoStep:
             sgd_step_armijo(fresh_state(np.zeros(2), objective=objective), objective)
         assert objective.candidates == 0
 
-    @pytest.mark.parametrize("bad", [dict(c=0.0), dict(alpha_max=-1.0)])
+    @pytest.mark.parametrize("bad", [
+        dict(c=0.0), dict(alpha_max=-1.0), dict(alpha_max=math.inf), dict(c=math.nan),
+    ])
     def test_rejects_nonpositive_constants(self, bad):
         objective = QuadraticObjective([np.ones(2)])
         with pytest.raises(ValueError, match="positive"):
@@ -207,7 +209,9 @@ class TestAdagradStep:
         with pytest.raises(RuntimeError, match="nonfinite"):
             sgd_step_adagrad(fresh_state(np.zeros(2), objective=objective), objective)
 
-    @pytest.mark.parametrize("bad", [dict(alpha=0.0), dict(delta=-1e-8)])
+    @pytest.mark.parametrize("bad", [
+        dict(alpha=0.0), dict(delta=-1e-8), dict(alpha=math.inf), dict(delta=math.nan),
+    ])
     def test_rejects_nonpositive_constants(self, bad):
         objective = QuadraticObjective([np.ones(2)])
         with pytest.raises(ValueError, match="positive"):
@@ -357,6 +361,24 @@ class TestPairObjective:
             previous_tau = state.tau
         assert accepted > 0
         assert state.clamp_events == 0
+
+    def test_armijo_step_at_a_memo_hit_marches_one_stacked_response(
+        self, short_objective, caplog
+    ):
+        # The step's gradient hits the stack the start's total loss kept; its
+        # one line-search loss marches the candidate's response with its
+        # stack, which the total-loss tracking then hits.
+        grid = short_objective.grid
+        guess = build_material(initial_guess_tau(), default_g_star(), grid.omega_nodes)
+        state = fresh_state(guess.tau, seed=9, objective=short_objective)
+        with caplog.at_level("DEBUG", logger="phonon_inverse.transport"):
+            state = sgd_step_armijo(state, short_objective, alpha_max=1e7)
+        assert state.history[-1].step_size == 1e7
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line for line in lines if line.startswith("boundary response")] == [
+            f"boundary response: {grid.n_t - 2} transposed steps, stack kept"
+        ]
+        assert len([line for line in lines if line.startswith("adjoint solve")]) == 1
 
 
 class TestReconstructionError:

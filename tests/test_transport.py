@@ -488,7 +488,7 @@ class TestAgainstReferenceMarch:
         seen = {}
         final = solve_adjoint(
             material, grid, mismatch, lagged,
-            on_step=lambda k, lam, cotangent: seen.setdefault(k, lam.copy()),
+            on_step=lambda k, lam: seen.setdefault(k, lam.copy()),
         )
         assert sorted(seen) == list(range(steps - 1))
         lags = np.arange(steps - 1)
@@ -536,14 +536,13 @@ class TestEinsumReference:
             material, grid, BEAM, keep_left_trace=False, moment_weights=weights,
         )
         monkeypatch.setattr(transport, "_last_response", None)
-        bare = boundary_response(material, grid)
+        bare = boundary_response(material, grid).g
         stacked = boundary_response(material, grid, keep_stack=True)
-        stack = transport._last_response[3].copy()
         final = solve_adjoint(material, grid, 0.7, TestSolveAdjoint.lagged(grid, material))
         return {
             "left trace": traces.left_trace, "moments": moments.moments,
-            "response": bare, "stacked response": stacked, "stack": stack,
-            "lambda_0": final,
+            "response": bare, "stacked response": stacked.g,
+            "stack": stacked.stack.copy(), "lambda_0": final,
         }
 
     @pytest.mark.parametrize("overrides", [
@@ -564,7 +563,7 @@ class TestEinsumReference:
 
 
 class TestSolveAdjoint:
-    """The reverse-mode march through the response's kept stack."""
+    """The reverse-mode march, whose states pair with a response's kept stack."""
 
     @pytest.fixture(scope="class")
     def short(self, material):
@@ -583,7 +582,7 @@ class TestSolveAdjoint:
         seen = {}
         solve_adjoint(
             material, grid, mismatch, lagged,
-            on_step=lambda k, lam, cotangent: seen.setdefault(k, lam.copy()),
+            on_step=lambda k, lam: seen.setdefault(k, lam.copy()),
         )
         return np.stack([seen[k] for k in range(len(seen))])
 
@@ -628,21 +627,30 @@ class TestSolveAdjoint:
         )
 
     def test_on_step_sees_each_stored_slice(self, short, material):
-        # Lags arrive from N - 2 down to 0, each with its slot of the stack
-        # the response march kept.  A slot holds B^T q_k: the rows the
-        # step's boundary rules overwrite are zero in it.
+        # Lags arrive from N - 2 down to 0, the slots of a response's stack
+        # that they pair with.  A slot holds B^T q_k: the rows the step's
+        # boundary rules overwrite are zero in it.
         seen = []
         solve_adjoint(
             material, short, 1.0, self.lagged(short, material),
-            on_step=lambda k, lam, cotangent: seen.append((k, cotangent)),
+            on_step=lambda k, lam: seen.append(k),
         )
-        stack = transport._last_response[3]
+        assert seen == list(range(short.n_t - 3, -1, -1))
+        stack = boundary_response(material, short, keep_stack=True).stack
         n_x = short.n_x
-        assert [k for k, _ in seen] == list(range(short.n_t - 3, -1, -1))
-        for k, cotangent in seen:
-            assert cotangent.base is stack and np.shares_memory(cotangent, stack[k])
-            assert np.all(cotangent[[0, n_x, 2 * n_x - 1]] == 0.0)
-            assert np.abs(cotangent).max() > 0.0
+        for k in seen:
+            assert np.all(stack[k][[0, n_x, 2 * n_x - 1]] == 0.0)
+            assert np.abs(stack[k]).max() > 0.0
+
+    def test_marches_without_the_response(self, short, material, monkeypatch):
+        lagged = self.lagged(short, material)
+        expected = solve_adjoint(material, short, 1.5, lagged)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_adjoint asked for the boundary response")
+
+        monkeypatch.setattr(transport, "boundary_response", refuse)
+        np.testing.assert_array_equal(solve_adjoint(material, short, 1.5, lagged), expected)
 
     def test_peak_memory_holds_no_n_t_long_array(self, material):
         # Beyond its inputs the adjoint holds a few sheets and one block of
@@ -740,7 +748,7 @@ def test_plain_marches_store_into_cache_line_aligned_sheets(monkeypatch, materia
     offsets = set()
     solve_adjoint(
         material, grid, 1.0, TestSolveAdjoint.lagged(grid, material),
-        on_step=lambda k, lam, cotangent: offsets.add(lam.ctypes.data % 64),
+        on_step=lambda k, lam: offsets.add(lam.ctypes.data % 64),
     )
     step = transport._transposed_step
 
@@ -802,7 +810,7 @@ class TestBoundaryResponse:
 
     def test_first_lag_is_the_readout_weight(self, small):
         grid, material = small
-        response = boundary_response(material, grid)
+        response = boundary_response(material, grid).g
         half = grid.n_mu // 2
         assert response.shape == (grid.n_t - 1, half, grid.n_omega)
         np.testing.assert_array_equal(
@@ -819,7 +827,7 @@ class TestBoundaryResponse:
         kick[1][cell] = 1.0
         states = reference_march(material, grid, kick)
         temperature = temperature_of(states[:, 0], material, grid)
-        response = boundary_response(material, grid)
+        response = boundary_response(material, grid).g
         assert_close_to_reference(response[:, cell[0], cell[1]], temperature[1:], rtol=1e-13)
 
     def test_memo_returns_the_same_array_for_an_equal_material(self, small):
@@ -834,48 +842,48 @@ class TestBoundaryResponse:
         first = boundary_response(material, grid)
         other_tau = boundary_response(material.with_tau(material.tau * 1.01), grid)
         assert other_tau is not first
-        assert not np.array_equal(other_tau, first)
+        assert not np.array_equal(other_tau.g, first.g)
         twin_grid = build_grid(GridConfig(
             dt=0.005, dx=0.05, domega=0.8, n_mu=8, t_end=0.5,
             omega_min=0.4, omega_max=4.0,
         ))
         again = boundary_response(material, twin_grid)
         assert again is not first
-        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(again.g, first.g)
 
     def test_stack_is_kept_only_when_asked(self, small):
         grid, material = small
-        bare = boundary_response(material.with_tau(material.tau * 1.02), grid)
-        assert transport._last_response[3] is None
+        other = material.with_tau(material.tau * 1.02)
+        bare = boundary_response(other, grid)
+        assert bare.stack is None
         # A request for the stack re-marches a bare entry; the response it
         # returns is a new array with the same bits.
-        stacked = boundary_response(
-            material.with_tau(material.tau * 1.02), grid, keep_stack=True
-        )
-        assert stacked is not bare
-        np.testing.assert_array_equal(stacked, bare)
-        stack = transport._last_response[3]
-        assert stack.shape == (grid.n_t - 1, 2 * grid.n_x, grid.n_mu // 2, grid.n_omega)
-        # A bare request hits the stacked entry and leaves its stack.
-        again = boundary_response(material.with_tau(material.tau * 1.02), grid)
-        assert again is stacked
-        assert transport._last_response[3] is stack
+        stacked = boundary_response(other, grid, keep_stack=True)
+        assert stacked.g is not bare.g
+        np.testing.assert_array_equal(stacked.g, bare.g)
+        shape = (grid.n_t - 1, 2 * grid.n_x, grid.n_mu // 2, grid.n_omega)
+        assert stacked.stack.shape == shape
+        # A bare request hits the stacked entry, stack and all.
+        assert boundary_response(other, grid) is stacked
 
     def test_new_march_reuses_or_drops_the_stack(self, small):
         grid, material = small
-        boundary_response(material, grid, keep_stack=True)
-        stack = transport._last_response[3]
-        boundary_response(material.with_tau(material.tau * 1.01), grid, keep_stack=True)
-        assert transport._last_response[3] is stack
-        boundary_response(material, grid)
-        assert transport._last_response[3] is None
+        other = material.with_tau(material.tau * 1.01)
+        stack = boundary_response(material, grid, keep_stack=True).stack
+        # A stacked march at another material writes into the same buffer.
+        assert boundary_response(other, grid, keep_stack=True).stack is stack
+        # A bare march drops it, so the next stacked march takes a new one.
+        assert boundary_response(material, grid).stack is None
+        assert boundary_response(other, grid, keep_stack=True).stack is not stack
 
     def test_result_is_read_only(self, small):
         grid, material = small
         response = boundary_response(material, grid)
-        assert not response.flags.writeable
+        assert not response.g.flags.writeable
         with pytest.raises(ValueError):
-            response[0, 0, 0] = 1.0
+            response.g[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            response.g = np.zeros(1)
 
     def test_stability_checked(self, material):
         with pytest.raises(ValueError, match="CFL"):

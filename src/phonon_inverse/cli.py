@@ -320,6 +320,10 @@ class ExperimentConfig:
             )
         if any(e <= 0.0 for e in d.epsilons) or any(dt <= 0.0 for dt in d.dts):
             raise ValueError("diffusion epsilons and dts must be positive")
+        if not 0.0 <= d.x_probe <= 1.0:
+            raise ValueError(f"[diffusion] x_probe = {d.x_probe} lies outside the slab [0, 1]")
+        if not d.settle_time < d.t_end:
+            raise ValueError(f"[diffusion] settle_time = {d.settle_time} is not before t_end")
         o = self.optimizer
         if o.method not in ("armijo", "adagrad"):
             raise ValueError(f"unknown optimizer method '{o.method}'")

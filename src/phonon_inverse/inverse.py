@@ -314,9 +314,9 @@ def loss_and_gradient(
         T1 = sum lambda B^T q,   T2 = sum_rows D(lambda) sum_mu B^T q,
 
     per omega, D being lambda's folded density before the division by
-    mean_omega h*.  With r = dt / (epsilon^2 tau), K = r h* / mean_omega h*
-    and s = omega_mean h* / (tau mean_omega h*), the derivative of the loss
-    is
+    mean_omega h* (the march hands over the quotient).  With
+    r = dt / (epsilon^2 tau), K = r h* / mean_omega h* and
+    s = omega_mean h* / (tau mean_omega h*), the derivative of the loss is
 
         (r/tau) T1 - (2K/tau) T2 + s (K . T2)
             + mismatch (y s - sum_k c_k . g[k] / tau):
@@ -335,35 +335,32 @@ def loss_and_gradient(
     mismatch = measured - datum
 
     _, half, n_omega = response.g.shape
-    cells, rows, n_x = half * n_omega, 2 * grid.n_x, grid.n_x
+    cells, rows = half * n_omega, 2 * grid.n_x
     inflow = inflow.reshape(-1, cells)
     lagged = (lag_weights.T @ inflow).reshape(response.g.shape)
     tables = _step_tables(material, grid)
-    # T1's row sums are one matrix-vector product per lag, accumulated per
-    # (mu, omega) cell; the mu sum is taken once, after the march.
+    # T1's and T2's row sums are one matrix-vector product each per lag,
+    # accumulated per (mu, omega) cell and summed over mu after the march.
     ones = np.ones(rows)
     product = _aligned_empty((rows, cells))
     row_total = np.empty(cells)
-    collision = np.zeros(cells)
-    equilibrium = np.zeros(cells)
+    sums = np.zeros((2, cells))
 
-    def pair_sheets(k: int, lam: FloatArray) -> None:
-        nonlocal collision, equilibrium
-        lam, cotangent = lam.reshape(rows, -1), response.stack[k].reshape(rows, -1)
-        np.multiply(lam, cotangent, out=product)
+    def pair_sheets(k: int, lam: FloatArray, density: FloatArray) -> None:
+        cotangent = response.stack[k].reshape(rows, -1)
+        np.multiply(lam.reshape(rows, -1), cotangent, out=product)
         np.matmul(ones, product, out=row_total)
-        collision += row_total
-        row_sums = lam @ tables.density_weights
-        density = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
-        equilibrium += np.concatenate((density, density[::-1])) @ cotangent
+        sums[0] += row_total
+        np.matmul(density, cotangent, out=row_total)
+        sums[1] += row_total
 
     solve_adjoint(material, grid, mismatch, lagged, on_step=pair_sheets)
 
     tau, h_star, h_star_mean = material.tau, tables.h_star, tables.h_star_mean
     kernel = tables.relaxation * h_star / h_star_mean
     shift = grid.omega_mean * h_star / (tau * h_star_mean)
-    collision_sum = collision.reshape(half, n_omega).sum(axis=0)
-    equilibrium_sum = equilibrium.reshape(half, n_omega).sum(axis=0)
+    collision_sum, equilibrium_sum = sums.reshape(2, half, n_omega).sum(axis=1)
+    equilibrium_sum *= h_star_mean
     # sum_k c_k . g[k] per omega, with c = lag_weights^T inflow, is the
     # windowed response rows against the inflow rows.
     inflow_sum = (windowed * inflow).reshape(-1, n_omega).sum(axis=0)

@@ -208,9 +208,9 @@ class _StepTables:
     density multiplies ``h_star`` (n_omega) and divides by ``h_star_mean``;
     the (mu, omega) weights are symmetric in mu, so ``density_weights``, the
     mu > 0 half's table in the sheet's column order, weights both halves.
-    A gradient reads only these fields.  The marches' tables are built on
-    first use; ``courant`` spreads the Courant numbers over the sheet rows
-    that take an upwind difference, so each update is one contiguous pass.
+    A gradient reads only these fields.  The steps' tables are built on
+    first use, and :func:`_step` and its transpose read the same ones;
+    ``keep`` and ``courant`` cover the sheet, so each update is one pass.
     """
 
     rows: int
@@ -221,40 +221,36 @@ class _StepTables:
     density_weights: FloatArray
 
     def _spread(self, table: FloatArray, rows: int) -> FloatArray:
-        return np.broadcast_to(table, (rows, *self.courant_cells.shape)).copy()
+        spread = _aligned_empty((rows, *self.courant_cells.shape))
+        spread[...] = table
+        return spread
 
     @functools.cached_property
     def courant(self) -> FloatArray:
         """|c| on sheet rows 1 .. rows - 1, the rows that take an upwind difference."""
         return self._spread(self.courant_cells, self.rows - 1)
 
-    # The transposed step's tables.
     @functools.cached_property
-    def readout(self) -> FloatArray:
-        """w / mean_omega h*, (n_mu/2, n_omega): the temperature's weight per cell."""
-        return self.density_weights.reshape(self.courant_cells.shape) / self.h_star_mean
+    def keep(self) -> FloatArray:
+        """1 - r - c over the whole sheet."""
+        return self._spread(1.0 - self.relaxation - self.courant_cells, self.rows)
 
     @functools.cached_property
-    def readout_rows(self) -> FloatArray:
-        """The readout weights as the right operand of :func:`_outer_into`."""
-        return _outer_rows(self.readout)
+    def relax_h_star(self) -> FloatArray:
+        """r h* per cell in row 0, in the sheet's column order: :func:`_outer_into`'s operand."""
+        relax_h_star = np.broadcast_to(self.relaxation * self.h_star, self.courant_cells.shape)
+        return _outer_rows(relax_h_star)
+
+    # The transposed step's own tables.
+    @functools.cached_property
+    def readout(self) -> FloatArray:
+        """w / mean_omega h*, the temperature's weight per cell, in ``relax_h_star``'s form."""
+        return _outer_rows(self.density_weights / self.h_star_mean)
 
     @functools.cached_property
     def folded(self) -> FloatArray:
         """(rows, 2), zero but for the folded sums the transposed step writes in column 0."""
         return np.zeros((self.rows, 2))
-
-    @functools.cached_property
-    def keep(self) -> FloatArray:
-        """1 - r - c over the whole sheet."""
-        keep = self._spread(1.0 - self.relaxation, self.rows)
-        keep -= self.courant_cells
-        return keep
-
-    @functools.cached_property
-    def relax_h_star(self) -> FloatArray:
-        """r h* per cell, flattened in the sheet's column order."""
-        return np.broadcast_to(self.relaxation * self.h_star, self.courant_cells.shape).ravel()
 
 
 def _step_tables(material: MaterialModel, grid: PhaseGrid) -> _StepTables:
@@ -318,6 +314,26 @@ def _fold(sheet: FloatArray, out: FloatArray) -> None:
     out[:, :half] = sheet[: n_x - 1 : -1, ::-1]
 
 
+def _step(
+    state: FloatArray, density_column: FloatArray, inflow_row: FloatArray,
+    new: FloatArray, tables: _StepTables, scratch: FloatArray,
+) -> None:
+    """Write into ``new`` the step from ``state``: r h* T[h] + (1 - r - c) h + c h_upwind.
+
+    Column 0 of ``density_column`` holds T[h]; ``scratch`` is overwritten.
+    """
+    n_x = new.shape[0] // 2
+    _outer_into(density_column, tables.relax_h_star, new)
+    np.multiply(tables.keep, state, out=scratch)
+    new += scratch
+    np.multiply(tables.courant, state[:-1], out=scratch[:-1])
+    new[1:] += scratch[:-1]
+    # Boundary rules, in dependency order: inflow, reflection, outflow.
+    new[0] = inflow_row
+    new[n_x] = new[n_x - 1]
+    new[-1] = new[-2]
+
+
 def _integrate(
     material: MaterialModel,
     grid: PhaseGrid,
@@ -326,7 +342,7 @@ def _integrate(
     keep_left_trace: bool = False,
     moment_weights: FloatArray | None = None,
     snapshot_steps: Sequence[int] = (),
-    on_step: Callable[[int, FloatArray], None] | None = None,
+    on_step: Callable[[int, FloatArray, FloatArray], None] | None = None,
 ) -> tuple[FloatArray | None, FloatArray | None, FloatArray | None, FloatArray]:
     """March the forward-form system for one source from a zero state.
 
@@ -347,25 +363,22 @@ def _integrate(
     keeps the x = 0 slice of every state; ``moment_weights`` (K, n_mu,
     n_omega) requests streamed per-step reductions; ``snapshot_steps``
     requests full state copies at those step indices (a step may be asked
-    for more than once); ``on_step(n, sheet)``, if given, sees each new
-    unfolded sheet, which the march overwrites two steps later (the last
-    one, never).  Returns (left trace, moments, snapshots, last sheet), the
-    first three None unless asked for; the left trace is in (t, mu, omega)
-    layout and the snapshots in (x, mu, omega) layout.
+    for more than once); ``on_step(n, sheet, density)``, if given, sees
+    each new unfolded sheet, which the march overwrites two steps later (the
+    last one, never), and its T[h] on every row, overwritten at the next
+    step.  Returns (left trace, moments, snapshots, last sheet), the first
+    three None unless asked for; the left trace is in (t, mu, omega) layout
+    and the snapshots in (x, mu, omega) layout.
     """
     tables = _step_tables(material, grid)
     n_t, n_x, n_mu, n_omega = grid.n_t, grid.n_x, grid.n_mu, grid.n_omega
     half = n_mu // 2
     rows = 2 * n_x
     sheet_shape = (rows, half, n_omega)
-    courant, h_star_mean = tables.courant, tables.h_star_mean
-    density_weights = tables.density_weights
-    relax_coef = np.broadcast_to(tables.relaxation, sheet_shape).copy()
-    h_star_rows = _outer_rows(np.broadcast_to(tables.h_star, (half, n_omega)))
 
     sheets = [_aligned_empty(sheet_shape), _aligned_empty(sheet_shape)]
     sheets[0].fill(0.0)
-    upwind = _aligned_empty((rows - 1, half, n_omega))
+    scratch = _aligned_empty(sheet_shape)
     row_sums = np.empty(rows)
     # The density lives in column 0 of _outer_into's left operand.
     density_column = np.zeros((rows, 2))
@@ -393,30 +406,14 @@ def _integrate(
             block_start, block_stop = n, min(n + _INFLOW_BLOCK_STEPS, n_t)
             fill_inflow(block_start, block_stop, inflow[: block_stop - block_start])
         new = sheets[n % 2]
-        # Collision pulls toward the kernel direction h*; edge rows receive a
-        # partial update here and are overwritten by the boundary rules below.
-        _outer_into(density_column, h_star_rows, new)
-        new -= state
-        new *= relax_coef
-        new += state
-        # Upwind difference along the sheet: every row takes it from the row
-        # before.  Row n_x's difference crosses the reflecting face and is
-        # overwritten below.
-        np.subtract(state[1:], state[:-1], out=upwind)
-        upwind *= courant
-        new[1:] -= upwind
-        # Boundary rules, in dependency order: inflow at x = 0, specular
-        # reflection at x = 1, then first-order outflow extrapolation at x = 0.
-        new[0] = inflow[n - block_start]
-        new[n_x] = new[n_x - 1]
-        new[-1] = new[-2]
+        _step(state, density_column, inflow[n - block_start], new, tables, scratch)
         # Each half's density is one matrix-vector product; folding the
         # reversed second half onto the first sums them per x node.  The
         # weights are positive, so the density is nonfinite whenever any
         # cell is.
-        np.matmul(new.reshape(rows, -1), density_weights, out=row_sums)
+        np.matmul(new.reshape(rows, -1), tables.density_weights, out=row_sums)
         np.add(row_sums[:n_x], row_sums[: n_x - 1 : -1], out=density[:n_x])
-        density[:n_x] /= h_star_mean
+        density[:n_x] /= tables.h_star_mean
         if not np.isfinite(density[:n_x]).all():
             raise RuntimeError(
                 f"{label} solve produced a nonfinite value at step {n} "
@@ -432,7 +429,7 @@ def _integrate(
         for j in snapshot_slots.get(n, ()):
             _fold(new, snapshots[j])
         if on_step is not None:
-            on_step(n, new)
+            on_step(n, new, density)
         state = new
 
     kept = [0 if a is None else a.nbytes for a in (left, moments, snapshots)]
@@ -447,7 +444,7 @@ def _integrate(
 def _transposed_step(
     q: FloatArray, out: FloatArray, tables: _StepTables, scratch: FloatArray
 ) -> None:
-    """Write into ``out`` the exact transpose of :func:`_integrate`'s step, applied to q.
+    """Write into ``out`` the exact transpose of :func:`_step`, applied to q.
 
     The step is taken with zero inflow, so it is linear; ``q`` is a cotangent
     on the unfolded sheet, and it and ``scratch`` (same shape) are
@@ -465,11 +462,11 @@ def _transposed_step(
     q[n_x - 1] += q[n_x]
     q[n_x] = 0.0
     q[0] = 0.0
-    row_sums = q.reshape(rows, -1) @ tables.relax_h_star
+    row_sums = q.reshape(rows, -1) @ tables.relax_h_star[0]
     folded = tables.folded
     np.add(row_sums[:n_x], row_sums[: n_x - 1 : -1], out=folded[:n_x, 0])
     folded[n_x:, 0] = folded[n_x - 1 :: -1, 0]
-    _outer_into(folded, tables.readout_rows, out)
+    _outer_into(folded, tables.readout, out)
     np.multiply(tables.keep, q, out=scratch)
     out += scratch
     np.multiply(tables.courant, q[1:], out=scratch[:-1])
@@ -595,8 +592,9 @@ def boundary_response(
             return kept
 
     tables = _step_tables(material, grid)
-    steps, sheet_shape = grid.n_t - 1, (tables.rows, *tables.readout.shape)
-    g = np.empty((steps, *tables.readout.shape))
+    readout = tables.readout[0].reshape(tables.courant_cells.shape)
+    steps, sheet_shape = grid.n_t - 1, (tables.rows, *readout.shape)
+    g = np.empty((steps, *readout.shape))
     scratch = _aligned_empty(sheet_shape)
     # The kept entry goes; a stacked march writes into its stack's buffer.
     stack = kept.stack if keep_stack and kept is not None else None
@@ -610,9 +608,9 @@ def boundary_response(
         sheets = [_aligned_empty(sheet_shape), _aligned_empty(sheet_shape)]
         sheets[0].fill(0.0)
     cotangent = sheets[0]
-    cotangent[0] = tables.readout
-    cotangent[-1] = tables.readout
-    g[0] = tables.readout
+    cotangent[0] = readout
+    cotangent[-1] = readout
+    g[0] = readout
     for k in range(1, steps):
         new = sheets[k] if keep_stack else sheets[k % 2]
         _transposed_step(cotangent, new, tables, scratch)
@@ -633,7 +631,7 @@ def solve_adjoint(
     grid: PhaseGrid,
     mismatch_value: float,
     lagged_inflow: FloatArray,
-    on_step: Callable[[int, FloatArray], None] | None = None,
+    on_step: Callable[[int, FloatArray, FloatArray], None] | None = None,
 ) -> FloatArray:
     """Reverse mode through the response march, seeded with the mismatch.
 
@@ -646,10 +644,10 @@ def solve_adjoint(
 
     a plain forward march from zero whose inflow at step n is c_{N - n}.
     This march carries ``mismatch_value`` times that inflow, so its states
-    are the loss's cotangents.  ``on_step(k, lam)`` sees lambda_{k + 1},
-    for k from N - 2 down to 0 (lambda_N is zero); the derivative of
-    A lambda_{k+1} pairs it with slot k of a response's stack.  The sheet
-    is only valid during the call.  Returns lambda_0.
+    are the loss's cotangents.  ``on_step(k, lam, density)`` sees
+    lambda_{k + 1} and its T[lambda], for k from N - 2 down to 0 (lambda_N
+    is zero); the derivative of A lambda_{k+1} pairs them with slot k of a
+    response's stack.  Both are valid during the call only.  Returns lambda_0.
     """
     half, n_omega = grid.n_mu // 2, grid.n_omega
     steps = grid.n_t - 1
@@ -663,8 +661,8 @@ def solve_adjoint(
     def fill_inflow(start: int, stop: int, out: FloatArray) -> None:
         np.multiply(mismatch_value, reversed_lags[start - 1 : stop - 1], out=out)
 
-    def by_lag(n: int, sheet: FloatArray) -> None:
+    def by_lag(n: int, sheet: FloatArray, density: FloatArray) -> None:
         if n < steps and on_step is not None:
-            on_step(steps - 1 - n, sheet)
+            on_step(steps - 1 - n, sheet, density)
 
     return _integrate(material, grid, fill_inflow, label="adjoint", on_step=by_lag)[3]

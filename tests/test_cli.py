@@ -377,6 +377,26 @@ settle_time = 0.1
             assert np.isnan(kappa[noise]).all()
             assert defined[x == 0.5].any()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("x_probe", "-5.0", "x_probe = -5.0 lies outside the slab"),
+        ("x_probe", "2.0", "x_probe = 2.0 lies outside the slab"),
+        ("settle_time", "0.3", "settle_time = 0.3 is not before t_end"),
+        ("settle_time", "0.5", "settle_time = 0.5 is not before t_end"),
+    ])
+    def test_probe_outside_the_run_refused_before_any_march(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a march ran before the config was refused")
+
+        monkeypatch.setattr(cli, "compute_macro_trace", refuse)
+        ini = self.CHEAP_DIFFUSION_INI.replace("settle_time = 0.1\n", "")
+        config_path = write_config(tmp_path, f"{ini}{key} = {value}\n")
+        argv = ["diffusion", "--preset", "fig1", "--config", str(config_path),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"error: [diffusion] {message}" in capsys.readouterr().err
+
 
 class TestGenerateData:
     def test_rerun_is_byte_identical(self, tmp_path):

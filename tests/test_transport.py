@@ -22,6 +22,7 @@ from phonon_inverse.transport import (
     BoundarySource,
     _fold,
     _integrate,
+    _step,
     _step_tables,
     _transposed_step,
     boundary_response,
@@ -488,7 +489,7 @@ class TestAgainstReferenceMarch:
         seen = {}
         final = solve_adjoint(
             material, grid, mismatch, lagged,
-            on_step=lambda k, lam: seen.setdefault(k, lam.copy()),
+            on_step=lambda k, lam, density: seen.setdefault(k, lam.copy()),
         )
         assert sorted(seen) == list(range(steps - 1))
         lags = np.arange(steps - 1)
@@ -582,7 +583,7 @@ class TestSolveAdjoint:
         seen = {}
         solve_adjoint(
             material, grid, mismatch, lagged,
-            on_step=lambda k, lam: seen.setdefault(k, lam.copy()),
+            on_step=lambda k, lam, density: seen.setdefault(k, lam.copy()),
         )
         return np.stack([seen[k] for k in range(len(seen))])
 
@@ -633,7 +634,7 @@ class TestSolveAdjoint:
         seen = []
         solve_adjoint(
             material, short, 1.0, self.lagged(short, material),
-            on_step=lambda k, lam: seen.append(k),
+            on_step=lambda k, lam, density: seen.append(k),
         )
         assert seen == list(range(short.n_t - 3, -1, -1))
         stack = boundary_response(material, short, keep_stack=True).stack
@@ -641,6 +642,29 @@ class TestSolveAdjoint:
         for k in seen:
             assert np.all(stack[k][[0, n_x, 2 * n_x - 1]] == 0.0)
             assert np.abs(stack[k]).max() > 0.0
+
+    def test_on_step_hands_over_the_marched_density(self, short, material):
+        # The density is lambda's folded density over mean_omega h*, bit for
+        # bit as the march computes it, on both rows of each x node; it is
+        # also the normalized mean of the folded state.
+        tables = _step_tables(material, short)
+        rows, n_x = 2 * short.n_x, short.n_x
+        seen = []
+        solve_adjoint(
+            material, short, 1.5, self.lagged(short, material),
+            on_step=lambda k, lam, density: seen.append((lam.copy(), density.copy())),
+        )
+        assert len(seen) == short.n_t - 2
+        for lam, density in seen:
+            row_sums = lam.reshape(rows, -1) @ tables.density_weights
+            folded = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
+            expected = np.concatenate((folded, folded[::-1])) / tables.h_star_mean
+            assert np.array_equal(density, expected)
+            mean = np.einsum("xmo,mo->x", fold(lam), short.mu_omega_mean)
+            np.testing.assert_allclose(
+                density[:n_x], mean / tables.h_star_mean, rtol=1e-13, atol=0.0
+            )
+        assert np.abs(seen[0][1]).max() > 0.0
 
     def test_marches_without_the_response(self, short, material, monkeypatch):
         lagged = self.lagged(short, material)
@@ -748,15 +772,23 @@ def test_plain_marches_store_into_cache_line_aligned_sheets(monkeypatch, materia
     offsets = set()
     solve_adjoint(
         material, grid, 1.0, TestSolveAdjoint.lagged(grid, material),
-        on_step=lambda k, lam: offsets.add(lam.ctypes.data % 64),
+        on_step=lambda k, lam, density: offsets.add(lam.ctypes.data % 64),
     )
-    step = transport._transposed_step
+    step, transposed_step = transport._step, transport._transposed_step
 
-    def recording(q, out, tables, scratch):
-        offsets.update(a.ctypes.data % 64 for a in (q, out, scratch))
-        step(q, out, tables, scratch)
+    def recording_step(state, density_column, inflow_row, new, tables, scratch):
+        arrays = (state, new, scratch, tables.keep, tables.courant)
+        offsets.update(a.ctypes.data % 64 for a in arrays)
+        step(state, density_column, inflow_row, new, tables, scratch)
 
-    monkeypatch.setattr(transport, "_transposed_step", recording)
+    def recording_transposed_step(q, out, tables, scratch):
+        arrays = (q, out, scratch, tables.keep, tables.courant)
+        offsets.update(a.ctypes.data % 64 for a in arrays)
+        transposed_step(q, out, tables, scratch)
+
+    monkeypatch.setattr(transport, "_step", recording_step)
+    monkeypatch.setattr(transport, "_transposed_step", recording_transposed_step)
+    solve_forward(material, grid, BEAM)
     monkeypatch.setattr(transport, "_last_response", None)
     boundary_response(material, grid)
     assert offsets == {0}
@@ -806,6 +838,37 @@ class TestBoundaryResponse:
             _fold(transposed, pulled)
             lhs = float(np.vdot(stepped, cotangent))
             rhs = float(np.vdot(delta, pulled))
+            assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    @pytest.mark.parametrize("dx", [0.05, 0.5, 1.0])
+    def test_solver_steps_are_transposes(self, small, dx):
+        # The same identity with the march's own forward step, which reads
+        # the tables the transposed step reads; its density is computed here
+        # from the folded state.
+        _, material = small
+        grid = build_grid(GridConfig(
+            dt=0.005, dx=dx, domega=0.8, n_mu=8, t_end=0.5,
+            omega_min=0.4, omega_max=4.0,
+        ))
+        rng = np.random.default_rng(11)
+        half = grid.n_mu // 2
+        shape = (grid.n_x, grid.n_mu, grid.n_omega)
+        sheet_shape = (2 * grid.n_x, half, grid.n_omega)
+        tables = _step_tables(material, grid)
+        for _ in range(5):
+            delta, cotangent = rng.random(shape), rng.random(shape)
+            density = np.einsum("xmo,mo->x", delta, grid.mu_omega_mean) / tables.h_star_mean
+            density_column = np.zeros((sheet_shape[0], 2))
+            density_column[:, 0] = np.concatenate((density, density[::-1]))
+            stepped = np.empty(sheet_shape)
+            _step(
+                unfold(delta), density_column, np.zeros((half, grid.n_omega)), stepped,
+                tables, np.empty(sheet_shape),
+            )
+            transposed = np.empty(sheet_shape)
+            _transposed_step(unfold(cotangent), transposed, tables, np.empty(sheet_shape))
+            lhs = float(np.vdot(stepped, unfold(cotangent)))
+            rhs = float(np.vdot(unfold(delta), transposed))
             assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     def test_first_lag_is_the_readout_weight(self, small):

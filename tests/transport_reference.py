@@ -116,9 +116,10 @@ def einsum_transposed_step(
     q[n_x - 1] += q[n_x]
     q[n_x] = 0.0
     q[0] = 0.0
-    row_sums = q.reshape(rows, -1) @ tables.relax_h_star
+    row_sums = q.reshape(rows, -1) @ tables.relax_h_star[0]
     folded = row_sums[:n_x] + row_sums[: n_x - 1 : -1]
-    np.einsum("x,mo->xmo", np.concatenate((folded, folded[::-1])), tables.readout, out=out)
+    readout = tables.readout[0].reshape(out.shape[1:])
+    np.einsum("x,mo->xmo", np.concatenate((folded, folded[::-1])), readout, out=out)
     np.multiply(tables.keep, q, out=scratch)
     out += scratch
     np.multiply(tables.courant, q[1:], out=scratch[:-1])

@@ -129,6 +129,11 @@ def compute_macro_trace(
     )
 
 
+def probe_index(x_nodes: FloatArray, x_probe: float) -> int:
+    """Index of the x node nearest ``x_probe``, where :func:`settled_kappa` reads."""
+    return int(np.argmin(np.abs(x_nodes - x_probe)))
+
+
 def settled_kappa(
     macro: MacroTrace, x_probe: float = 0.5, settle_time: float = 0.125
 ) -> tuple[float, float]:
@@ -138,7 +143,7 @@ def settled_kappa(
     final-time kappa at the x node nearest ``x_probe`` and the drift is the
     largest relative deviation from it over t > ``settle_time``.
     """
-    ix = int(np.argmin(np.abs(macro.x_nodes - x_probe)))
+    ix = probe_index(macro.x_nodes, x_probe)
     late = macro.t_nodes > settle_time
     if not late.any():
         raise ValueError(

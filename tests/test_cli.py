@@ -7,6 +7,7 @@ injected at mu0 = 0.99) keeps each solve to a couple hundred time steps.
 
 import csv
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -382,6 +383,8 @@ settle_time = 0.1
         ("x_probe", "2.0", "x_probe = 2.0 lies outside the slab"),
         ("settle_time", "0.3", "settle_time = 0.3 is not before t_end"),
         ("settle_time", "0.5", "settle_time = 0.5 is not before t_end"),
+        ("x_probe", "1.0", "x_probe = 1.0 reads the reflecting wall x = 1"),
+        ("x_probe", "0.99", "x_probe = 0.99 reads the reflecting wall x = 1"),
     ])
     def test_probe_outside_the_run_refused_before_any_march(
         self, tmp_path, capsys, monkeypatch, key, value, message
@@ -396,6 +399,69 @@ settle_time = 0.1
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert f"error: [diffusion] {message}" in capsys.readouterr().err
+
+    def _run(self, tmp_path, name, capsys):
+        config_path = write_config(tmp_path, self.CHEAP_DIFFUSION_INI)
+        out = tmp_path / name
+        code = main(["diffusion", "--preset", "fig1", "--config", str(config_path),
+                     "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        return code, out, capsys.readouterr().err
+
+    def test_worker_processes_write_the_serial_bytes(self, tmp_path, monkeypatch, capsys):
+        outputs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+            code, out, _ = self._run(tmp_path, f"cpus{cpus}", capsys)
+            assert code == 0
+            outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outputs[1]) == 6
+        assert outputs[2] == outputs[1]
+
+    def test_failure_in_a_worker_surfaces_as_in_a_serial_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The epsilon = 0.4 run has the larger dt, so with two CPUs it is the
+        # one handed to a worker; the fake records the pid it failed in.
+        failed_in = tmp_path / "failed_in"
+        residual = cli.chapman_enskog_residual
+
+        def failing_residual(slice_g, material, grid):
+            if grid.epsilon == 0.4:
+                with open(failed_in, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                raise ValueError("residual failed at epsilon 0.4")
+            return residual(slice_g, material, grid)
+
+        monkeypatch.setattr(cli, "chapman_enskog_residual", failing_residual)
+        errors = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+            code, _, errors[cpus] = self._run(tmp_path, f"cpus{cpus}", capsys)
+            assert code == 1
+        assert errors[2] == errors[1] == "error: residual failed at epsilon 0.4\n"
+        worker_pid, serial_pid = failed_in.read_text().split()
+        assert worker_pid != str(os.getpid()) and serial_pid == str(os.getpid())
+
+    def test_blas_thread_count_leaves_bytes_unchanged(self, tmp_path):
+        # With two or more CPUs the study forks a worker, and with two BLAS
+        # threads it forks while OpenBLAS's own threads are running; neither
+        # that nor the thread count may change a byte.
+        config_path = write_config(tmp_path, self.CHEAP_DIFFUSION_INI)
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "phonon_inverse.cli", "diffusion",
+                 "--preset", "fig1", "--config", str(config_path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr[-4000:]
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert "kappa_summary.csv" in outputs["1"]
+        assert outputs["1"] == outputs["2"]
 
 
 class TestGenerateData:
